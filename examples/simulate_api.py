@@ -31,10 +31,11 @@ def main() -> None:
                                     "input_fraction": 0.5})
     print(f"private, 50% staged:       makespan {result.makespan:7.2f}s")
 
-    # Solver A/B: the incremental engine re-solves only the dirty
-    # component per flow event — same model, same makespan, fewer solves
-    # (docs/PERF.md).  observer=True collects telemetry for the proof.
-    for allocator in ("max-min", "incremental"):
+    # Sharing-model A/B: max-min fairness against the equal-split
+    # ablation baseline (docs/PERF.md).  They agree here, where no flow
+    # leaves capacity unused for another to take.  observer=True
+    # collects telemetry, here the number of rate solves.
+    for allocator in ("max-min", "equal-split"):
         result = repro.simulate(platform, workflow, observer=True,
                                 config={"bb_mode": "private",
                                         "input_fraction": 0.5,

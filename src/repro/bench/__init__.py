@@ -1,17 +1,15 @@
 """repro.bench: the performance benchmark harness (``repro-bench``).
 
-Measures the two things the incremental fair-share work optimizes:
+Measures what the flow engine optimizes:
 
 * **micro** — raw solver throughput on synthetic, component-rich flow
   graphs (10 / 100 / 1000 concurrent flows), replaying one admit/drain
-  event sequence through the global progressive-filling oracle,
-  through :class:`repro.perf.IncrementalMaxMin`, and through
-  :class:`repro.perf.VectorizedMaxMin`, asserting they agree and
-  reporting both speedups;
+  event sequence through the global progressive-filling oracle and
+  through :class:`repro.perf.VectorizedMaxMin`, asserting they agree and
+  reporting the speedup;
 * **macro** — end-to-end simulation wall time on the paper's workloads
-  (a Figure 13 point and the full 1000Genomes run), A/B-ing the
-  ``max-min``, ``incremental``, and ``vectorized`` allocators with
-  identical makespans.
+  (a Figure 13 point and the full 1000Genomes run) under the default
+  allocator.
 
 Results are written as ``BENCH_<date>.json`` (schema ``repro.bench/1``)
 with ``{wall_s, events, solver_calls, links_touched}`` per entry plus a
@@ -21,12 +19,7 @@ calibrated macro wall-time regression.  See ``docs/PERF.md``.
 """
 
 from repro.bench.micro import MicroResult, micro_benchmarks, run_micro
-from repro.bench.macro import (
-    MACRO_ALLOCATORS,
-    MacroResult,
-    macro_benchmarks,
-    run_macro,
-)
+from repro.bench.macro import MacroResult, macro_benchmarks, run_macro
 from repro.bench.report import (
     BENCH_SCHEMA,
     calibrate,
@@ -37,7 +30,6 @@ from repro.bench.report import (
 
 __all__ = [
     "BENCH_SCHEMA",
-    "MACRO_ALLOCATORS",
     "MacroResult",
     "MicroResult",
     "calibrate",

@@ -21,9 +21,8 @@ from repro.bench.report import (
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Benchmark the fair-share solver (micro) and full "
-        "simulations (macro), A/B-ing the max-min, incremental, and "
-        "vectorized allocators.",
+        description="Benchmark the fair-share solver against the "
+        "progressive-filling oracle (micro) and full simulations (macro).",
     )
     parser.add_argument(
         "--smoke",
@@ -62,10 +61,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"  {result.name:12s} {result.events:5d} events  "
             f"oracle {result.oracle_wall_s * 1e3:8.1f} ms  "
-            f"incremental {result.incremental_wall_s * 1e3:8.1f} ms "
-            f"({result.speedup:5.1f}x)  "
-            f"vectorized {result.vectorized_wall_s * 1e3:8.1f} ms "
-            f"({result.vectorized_speedup:5.1f}x)"
+            f"engine {result.engine_wall_s * 1e3:8.1f} ms "
+            f"({result.speedup:5.1f}x)"
         )
 
     print("-- macro: end-to-end simulations --")

@@ -1,17 +1,15 @@
 """Macro benchmarks: end-to-end simulation wall time on paper workloads.
 
-Two scenarios, each run with the default ``max-min`` allocator and again
-with ``incremental`` and ``vectorized``:
+Two scenarios, each run once with the default allocator:
 
 * ``fig13-point`` — one Figure 13 sweep point (1000Genomes on Cori,
   half the inputs staged into the burst buffer, reduced chromosome
   count) — the unit of work every sweep repeats dozens of times;
 * ``genomes-full`` — the full 22-chromosome 1000Genomes case study.
 
-The grouped runs must produce identical makespans (the incremental and
-vectorized paths are optimizations, not model changes); each reports wall time plus
-the observer's kernel/solver counters so regressions can be attributed
-(did we do more events, more solves, or just slower solves?).
+Each run reports wall time plus the observer's kernel/solver counters so
+regressions can be attributed (did we do more events, more solves, or
+just slower solves?).
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.network import DEFAULT_ALLOCATOR
 from repro.obs import Observer
 from repro.scenarios import run_genomes
 
@@ -85,29 +84,10 @@ def run_macro(name: str, allocator: str, **kwargs) -> MacroResult:
     )
 
 
-#: The allocators every macro scenario is benchmarked under.
-MACRO_ALLOCATORS = ("max-min", "incremental", "vectorized")
-
-
 def macro_benchmarks(smoke: bool = False) -> list[MacroResult]:
-    """Run every macro scenario under all allocators (A/B/C groups).
-
-    Raises if any allocator disagrees with ``max-min`` on makespan —
-    wall time is only comparable between semantically identical runs.
-    """
+    """Run every macro scenario once under the default allocator."""
     scenarios = _SCENARIOS_SMOKE if smoke else _SCENARIOS_FULL
-    results: list[MacroResult] = []
-    for name, kwargs in scenarios.items():
-        group = [
-            run_macro(name, allocator, **kwargs)
-            for allocator in MACRO_ALLOCATORS
-        ]
-        for other in group[1:]:
-            if other.makespan != group[0].makespan:
-                raise AssertionError(
-                    f"{name}: {other.allocator} makespan "
-                    f"{other.makespan!r} != max-min makespan "
-                    f"{group[0].makespan!r}"
-                )
-        results.extend(group)
-    return results
+    return [
+        run_macro(name, DEFAULT_ALLOCATOR, **kwargs)
+        for name, kwargs in scenarios.items()
+    ]

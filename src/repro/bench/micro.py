@@ -4,23 +4,21 @@ The workload mimics what a burst-buffer simulation actually generates: a
 platform of many node-local link clusters (disk read/write channels,
 PCIe uplinks) where most flows stay within one cluster and a minority
 cross a shared backbone.  That makes the flow/link graph component-rich
-— exactly the structure the incremental solver exploits — while the
-occasional backbone flow keeps components merging and splitting.
+— exactly the structure dirty-component recomputation exploits — while
+the occasional backbone flow keeps components merging and splitting.
 
 One deterministic admit/drain sequence (a sliding window of active
-flows) is replayed three times:
+flows) is replayed twice:
 
 * **oracle** — on every event, rebuild the active flow list and call
   :func:`~repro.network.fairshare.max_min_fair_rates` on the whole
-  graph (what :class:`~repro.network.FlowNetwork`'s default path does);
-* **incremental** — feed the same events to
-  :class:`repro.perf.IncrementalMaxMin` and solve only dirty components;
-* **vectorized** — the same events through
-  :class:`repro.perf.VectorizedMaxMin` (group-granular dirty components
-  plus the dense water-filling kernel).
+  graph (what the flow network did before it tracked components);
+* **engine** — feed the same events to :class:`repro.perf.VectorizedMaxMin`,
+  the flow network's engine (group-granular dirty components plus the
+  dense water-filling kernel).
 
-All replays must agree on every flow's rate at the end, so the speedups
-are measured on proven-equivalent work.
+Both replays must agree on every flow's rate at the end, so the speedup
+is measured on proven-equivalent work.
 """
 
 from __future__ import annotations
@@ -30,13 +28,12 @@ import time
 from dataclasses import dataclass
 
 # lint: ignore-file[SIM060] - the micro bench *measures* the raw oracle
-# against the incremental engine; calling it directly is the benchmark.
+# against the engine; calling it directly is the benchmark.
 from repro.network.fairshare import max_min_fair_rates
-from repro.perf import IncrementalMaxMin, VectorizedMaxMin, static_capacity
+from repro.perf import VectorizedMaxMin, static_capacity
 
-#: Relative tolerance for oracle/incremental rate agreement.  Rates are
-#: bit-identical per component; summing order across components differs,
-#: so cross-checks allow float associativity slack.
+#: Relative tolerance for oracle/engine rate agreement (the kernel tracks
+#: the oracle to float roundoff).
 _REL_TOL = 1e-9
 
 
@@ -59,23 +56,16 @@ class MicroResult:
     flows: int                       # concurrent-flow window
     events: int                      # admit/drain events replayed
     oracle_wall_s: float
-    incremental_wall_s: float
-    vectorized_wall_s: float
-    solver_calls: int                # incremental component solves
+    engine_wall_s: float
+    solver_calls: int                # engine component solves
     links_touched: int               # total links across those solves
     full_solves: int                 # solves that spanned the whole graph
 
     @property
     def speedup(self) -> float:
-        if self.incremental_wall_s <= 0:  # pragma: no cover - clock quirk
+        if self.engine_wall_s <= 0:  # pragma: no cover - clock quirk
             return float("inf")
-        return self.oracle_wall_s / self.incremental_wall_s
-
-    @property
-    def vectorized_speedup(self) -> float:
-        if self.vectorized_wall_s <= 0:  # pragma: no cover - clock quirk
-            return float("inf")
-        return self.oracle_wall_s / self.vectorized_wall_s
+        return self.oracle_wall_s / self.engine_wall_s
 
     def as_dict(self) -> dict:
         return {
@@ -83,11 +73,9 @@ class MicroResult:
             "kind": "micro",
             "flows": self.flows,
             "events": self.events,
-            "wall_s": self.incremental_wall_s,
+            "wall_s": self.engine_wall_s,
             "oracle_wall_s": self.oracle_wall_s,
-            "vectorized_wall_s": self.vectorized_wall_s,
             "speedup": self.speedup,
-            "vectorized_speedup": self.vectorized_speedup,
             "solver_calls": self.solver_calls,
             "links_touched": self.links_touched,
             "full_solves": self.full_solves,
@@ -170,11 +158,10 @@ def _replay_oracle(workload: MicroWorkload) -> dict[int, float]:
     return rates
 
 
-def _replay_incremental(
-    workload: MicroWorkload, engine: "IncrementalMaxMin | VectorizedMaxMin"
+def _replay_engine(
+    workload: MicroWorkload, engine: VectorizedMaxMin
 ) -> dict[int, float]:
-    """The same events through a stateful engine (incremental or
-    vectorized — the two share the admit/drain/solve surface)."""
+    """The same events through the stateful engine."""
     for event in workload.events:
         if event[0] == "admit":
             _, fid, links, cap = event
@@ -186,12 +173,12 @@ def _replay_incremental(
 
 
 def _check_agreement(
-    oracle: dict[int, float], incremental: dict[int, float], name: str
+    oracle: dict[int, float], engine: dict[int, float], name: str
 ) -> None:
-    if oracle.keys() != incremental.keys():  # pragma: no cover - defensive
+    if oracle.keys() != engine.keys():  # pragma: no cover - defensive
         raise AssertionError(f"{name}: solvers disagree on active flows")
     for fid, expected in oracle.items():
-        got = incremental[fid]
+        got = engine[fid]
         if abs(got - expected) > _REL_TOL * max(abs(expected), 1.0):
             raise AssertionError(
                 f"{name}: flow {fid} rate {got!r} != oracle {expected!r}"
@@ -202,40 +189,30 @@ def run_micro(workload: MicroWorkload, repeats: int = 3) -> MicroResult:
     """Benchmark one workload; best-of-``repeats`` wall times.
 
     The first replay of each solver doubles as the correctness check
-    (oracle, incremental, and vectorized must agree on every rate), so
-    ``repeats=1`` costs exactly one replay per solver — that keeps the
-    1000-flow bench affordable, where a single oracle replay is tens of
-    seconds.
+    (oracle and engine must agree on every rate), so ``repeats=1`` costs
+    exactly one replay per solver — that keeps the 1000-flow bench
+    affordable, where a single oracle replay is tens of seconds.
     """
     holder: dict = {}
 
     def oracle_once() -> None:
         holder["oracle"] = _replay_oracle(workload)
 
-    def incremental_once() -> None:
-        engine = IncrementalMaxMin(static_capacity(workload.capacities))
-        holder["rates"] = _replay_incremental(workload, engine)
+    def engine_once() -> None:
+        engine = VectorizedMaxMin(static_capacity(workload.capacities))
+        holder["rates"] = _replay_engine(workload, engine)
         holder["stats"] = engine.stats
 
-    def vectorized_once() -> None:
-        engine = VectorizedMaxMin(static_capacity(workload.capacities))
-        holder["vectorized"] = _replay_incremental(workload, engine)
-
     oracle_wall = min(_timed(oracle_once) for _ in range(repeats))
-    incremental_wall = min(_timed(incremental_once) for _ in range(repeats))
-    vectorized_wall = min(_timed(vectorized_once) for _ in range(repeats))
+    engine_wall = min(_timed(engine_once) for _ in range(repeats))
     _check_agreement(holder["oracle"], holder["rates"], workload.name)
-    _check_agreement(
-        holder["oracle"], holder["vectorized"], f"{workload.name} (vectorized)"
-    )
     stats = holder["stats"]
     return MicroResult(
         name=workload.name,
         flows=workload.window,
         events=len(workload.events),
         oracle_wall_s=oracle_wall,
-        incremental_wall_s=incremental_wall,
-        vectorized_wall_s=vectorized_wall,
+        engine_wall_s=engine_wall,
         solver_calls=stats.solver_calls,
         links_touched=stats.links_touched,
         full_solves=stats.full_solves,

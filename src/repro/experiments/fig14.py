@@ -124,6 +124,8 @@ def sweep_spec(quick: bool = False, config: "Config | None" = None) -> SweepSpec
         sweep_id="fig14",
         func="repro.experiments.fig14:compute_point",
         points=tuple(points),
+        # 2: the dense flow engine moved a few points by 1 ulp.
+        version=2,
     )
 
 

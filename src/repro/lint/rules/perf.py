@@ -1,12 +1,13 @@
 """Performance-API rules (SIM06x).
 
-The fair-share solver has exactly two sanctioned call sites: the flow
-network (which owns rate recomputation) and the incremental engine in
-``repro.perf`` (which wraps the solver per component).  Anything else
-calling :func:`~repro.network.fairshare.max_min_fair_rates` directly is
-a layering leak — it hard-codes one sharing discipline, bypasses the
-allocator registry (so configs/CLIs can't A/B it), and silently skips
-the incremental fast path and its solver-call telemetry.
+The fair-share solvers live in two sanctioned packages: the flow
+network (which owns rate recomputation) and the dense engine in
+``repro.perf`` (which solves dirty components).  Anything else calling
+the progressive-filling oracle
+:func:`~repro.network.fairshare.max_min_fair_rates` directly is a
+layering leak — it hard-codes one sharing discipline, bypasses the
+allocator registry (so configs/CLIs can't A/B it), and skips the flow
+engine and its solver-call telemetry.
 
 SIM061 guards the modules those layers keep fast: a file carrying a
 ``# lint: hot-path`` marker declares that its loops run once per
@@ -47,8 +48,9 @@ class NoDirectFairShareCalls(Rule):
     rationale = (
         "Calling max_min_fair_rates directly hard-codes one bandwidth-"
         "sharing discipline: the run can no longer be switched to "
-        "equal-split or the incremental solver from a SimulatorConfig, "
-        "a sweep point, or --network-allocator, and the call is "
+        "equal-split from a SimulatorConfig, a sweep point, or "
+        "--network-allocator; the call bypasses the dense max-min "
+        "kernel the registry resolves \"max-min\" to, and it is "
         "invisible to the network.solver_calls telemetry.  Rates belong "
         "to FlowNetwork; solver choice belongs to the allocator "
         "registry."
@@ -61,8 +63,8 @@ class NoDirectFairShareCalls(Rule):
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
-        # The flow network and the incremental engine are the two
-        # sanctioned owners of direct solver calls.
+        # The flow network and the dense engine are the two sanctioned
+        # owners of direct solver calls.
         return ctx.outside_package_dir("network/", "perf/")
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.model.equations import observed_time
 
@@ -51,6 +50,9 @@ def fit_amdahl_alpha(
         raise ValueError("need at least two distinct core counts")
     if not (0.0 <= lambda_io < 1.0):
         raise ValueError("lambda_io must be in [0, 1)")
+    # Imported here: scipy costs most of a second to load, and no
+    # simulation ever fits anything.
+    from scipy.optimize import least_squares
 
     def residuals(theta: np.ndarray) -> np.ndarray:
         tc1, alpha = theta

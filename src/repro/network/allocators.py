@@ -1,46 +1,36 @@
 """The rate-allocator registry: named bandwidth-sharing disciplines.
 
-:class:`~repro.network.FlowNetwork` used to take a bare function for its
-``allocator`` knob, which made the choice impossible to express in a
-``SimulatorConfig``, a sweep point, or a CLI flag.  This module gives the
-knob a name: an allocator is any callable satisfying the
-:class:`RateAllocator` protocol, registered under a short string id that
-configs and CLIs can carry.
+An allocator is any callable satisfying the :class:`RateAllocator`
+protocol, registered under a short string id that configs, sweep points
+and CLI flags can carry.  :class:`~repro.network.FlowNetwork` has one
+event path whatever the allocator: it tracks dirty connected components
+of the flow/link graph and re-solves only those at the end of each
+instant.  The allocator chooses only how one dirty component's rates are
+computed.
 
 Built-in allocators:
 
 ``max-min``
-    :func:`~repro.network.fairshare.max_min_fair_rates` — progressive
-    filling, the paper's model and the default.
+    :func:`repro.perf.vectorized_max_min_rates` — max-min fairness (the
+    paper's model, SimGrid's fluid model) by dense water-filling over
+    identical-constraint flow groups.  The default.
 ``equal-split``
     :func:`~repro.network.fairshare.equal_split_rates` — the ablation
     baseline (feasible, not work-conserving).
-``incremental``
-    :func:`repro.perf.incremental_max_min_rates` — max-min solved per
-    connected component of the flow/link graph; selecting it by name
-    additionally switches :class:`~repro.network.FlowNetwork` onto its
-    stateful incremental hot path (dirty-component recomputation, batch
-    rescheduling, completion heap).  Registered lazily on first lookup
-    so ``repro.network`` does not import ``repro.perf`` at import time.
-``vectorized``
-    :func:`repro.perf.vectorized_max_min_rates` — the dense
-    water-filling kernel (numpy argmin over per-link saturation levels,
-    identical-constraint flow grouping).  Selecting it by name keeps the
-    incremental path's dirty-component bookkeeping but solves each
-    component with the kernel and moves per-flow progress onto
-    :class:`repro.perf.FlowSlots` arrays.  Registered lazily alongside
-    ``incremental``.
 
-Direct calls to ``max_min_fair_rates`` outside ``repro.network`` /
-``repro.perf`` are rejected by lint rule SIM060 — resolve through this
-registry instead.
+Any other callable is applied to a dirty component's member flows.
+:func:`~repro.network.fairshare.max_min_fair_rates`, the
+progressive-filling oracle, is kept as the reference the differential
+tests compare the kernel against; direct calls to it outside
+``repro.network`` / ``repro.perf`` are rejected by lint rule SIM060.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Mapping, Optional, Protocol, Sequence
 
-from repro.network.fairshare import equal_split_rates, max_min_fair_rates
+from repro.network.fairshare import equal_split_rates
+from repro.perf.vectorized import vectorized_max_min_rates
 
 
 class RateAllocator(Protocol):
@@ -78,8 +68,7 @@ def register_allocator(name: str, allocator: RateAllocator) -> RateAllocator:
 
 
 def allocator_names() -> list[str]:
-    """All registered allocator names (triggers lazy registration)."""
-    _ensure_builtin()
+    """All registered allocator names."""
     return sorted(_ALLOCATORS)
 
 
@@ -89,14 +78,12 @@ def resolve_allocator(
     """Resolve a registry name, callable, or ``None`` to an allocator.
 
     ``None`` resolves to the default (``max-min``); callables pass
-    through unchanged (the historical ``FlowNetwork(allocator=fn)``
-    contract).
+    through unchanged.
     """
     if spec is None:
         spec = DEFAULT_ALLOCATOR
     if callable(spec):
         return spec
-    _ensure_builtin()
     try:
         return _ALLOCATORS[spec]
     except KeyError:
@@ -106,13 +93,5 @@ def resolve_allocator(
         ) from None
 
 
-def _ensure_builtin() -> None:
-    """Register built-ins, importing ``repro.perf`` for the incremental
-    and vectorized solvers only when first needed (avoids an import
-    cycle: perf depends on the oracle in this package)."""
-    if "incremental" not in _ALLOCATORS or "vectorized" not in _ALLOCATORS:
-        import repro.perf  # noqa: F401 - registers "incremental"/"vectorized"
-
-
-register_allocator("max-min", max_min_fair_rates)
+register_allocator("max-min", vectorized_max_min_rates)
 register_allocator("equal-split", equal_split_rates)

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping, Sequence
 
-#: Relative tolerance for deciding that a flow sits at its cap or that a
-#: link is saturated.  The tolerance MUST be relative (scaled by the cap
-#: or capacity it is compared against): an absolute epsilon freezes every
-#: flow whose cap is within epsilon of another's, which mis-allocates
-#: whenever caps themselves are epsilon-sized (e.g. the tiny finish
-#: thresholds the flow network produces for nearly-drained transfers).
-_REL_TOL = 1e-9
+from repro.perf.vectorized import REL_TOL
 
 
 def max_min_fair_rates(
@@ -111,11 +105,11 @@ def max_min_fair_rates(
         # resolved exactly instead of being frozen together.
         frozen = set()
         for i in active:
-            if rates[i] >= flow_caps[i] * (1.0 - _REL_TOL):
+            if rates[i] >= flow_caps[i] * (1.0 - REL_TOL):
                 frozen.add(i)
                 continue
             for link in flow_sets[i]:
-                if remaining[link] <= _REL_TOL * capacities[link]:
+                if remaining[link] <= REL_TOL * capacities[link]:
                     frozen.add(i)
                     break
         if not frozen:

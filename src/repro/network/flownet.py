@@ -2,69 +2,39 @@
 
 A :class:`FlowNetwork` is attached to a DES environment.  Callers start
 transfers with :meth:`FlowNetwork.transfer`, which returns a DES event
-that fires when the last byte arrives.  Internally the network maintains
-the set of active flows; whenever a flow starts or completes, per-flow
-rates are recomputed with the configured allocator and the next
-completion is rescheduled.
+that fires when the last byte arrives.  Between events every flow
+progresses linearly at its assigned rate, so the model is
+work-conserving and exact for piecewise-constant rate processes.
 
-The model is work-conserving and exact for piecewise-constant rate
-processes: between recomputation points every flow progresses linearly at
-its assigned rate.
+There is one event path:
 
-Two execution paths share the public API:
-
-* the **oracle path** (default, ``allocator="max-min"``): every event
-  re-solves all active flows with the global progressive-filling solver.
-  This path is kept byte-for-byte stable — it is the reference that the
-  paper's figures were validated against.
-* the **incremental path** (``allocator="incremental"``): rates are
-  maintained by :class:`repro.perf.IncrementalMaxMin`, which re-solves
-  only the connected component(s) touched by an admit/drain.  Same-
-  timestamp admits are batched into one end-of-instant solve (a
-  ``DEFERRED``-priority flush event), and the next-completion scan is a
-  lazy-deletion heap keyed by absolute finish time, so untouched flows
-  are never revisited.
-* the **vectorized path** (``allocator="vectorized"``): same deferred
-  batching and dirty-component structure, but components are solved by
-  :class:`repro.perf.VectorizedMaxMin`'s dense water-filling kernel and
-  per-flow progress lives in :class:`repro.perf.FlowSlots` arrays —
-  advancing time, sweeping drained flows, and finding the next
-  completion are whole-array numpy operations, allocating nothing per
-  event.  :class:`Flow` objects remain the public record; their
+* admits and drains mark the touched links of
+  :class:`repro.perf.VectorizedMaxMin` dirty, and one end-of-instant
+  flush (a ``DEFERRED``-priority event) re-solves only the connected
+  components they reach, so N same-timestamp admits cost one solve;
+* per-flow progress lives in :class:`repro.perf.FlowSlots` arrays, so
+  advancing time, sweeping drained flows and finding the next
+  completion are whole-array numpy operations that allocate nothing
+  per event.  :class:`Flow` objects remain the public record; their
   ``remaining`` is synced from the arrays on access and completion.
+
+The ``allocator`` knob chooses only how one dirty component's rates are
+computed (see :mod:`repro.network.allocators`).
 """
 # lint: hot-path - rate updates and progress sweeps run per network event
 
 from __future__ import annotations
 
 import itertools
-import sys
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.des import Environment, Event, EventPriority
 from repro.network.allocators import resolve_allocator
 from repro.network.link import Link
+from repro.perf import FlowSlots, VectorizedMaxMin
 
 _EPS = 1e-9
-
-
-def _is_incremental(allocator) -> bool:
-    """Whether ``allocator`` is the registry's incremental solver.
-
-    Checked against the loaded module rather than by import so that
-    ``repro.network`` never pulls in ``repro.perf`` eagerly; if the perf
-    package was never imported, the caller cannot be holding its solver.
-    """
-    module = sys.modules.get("repro.perf.incremental")
-    return module is not None and allocator is module.incremental_max_min_rates
-
-
-def _is_vectorized(allocator) -> bool:
-    """Whether ``allocator`` is the registry's vectorized solver."""
-    module = sys.modules.get("repro.perf.vectorized")
-    return module is not None and allocator is module.vectorized_max_min_rates
 
 
 @dataclass
@@ -81,9 +51,6 @@ class Flow:
     completed_at: Optional[float] = None
     done_event: Optional[Event] = None
     label: str = ""
-    #: Bumped on every rate assignment; stale completion-heap entries
-    #: (incremental path) are recognized by a version mismatch.
-    version: int = 0
 
     @property
     def elapsed(self) -> Optional[float]:
@@ -110,7 +77,7 @@ class FlowNetwork:
     """Manages concurrent flows over a shared set of links.
 
     ``allocator`` selects the bandwidth-sharing discipline: a registry
-    name (``"max-min"``, ``"equal-split"``, ``"incremental"`` — see
+    name (``"max-min"``, ``"equal-split"`` — see
     :mod:`repro.network.allocators`) or any callable satisfying the
     :class:`~repro.network.allocators.RateAllocator` protocol.  The
     default is max-min fairness (SimGrid's fluid model).
@@ -122,7 +89,6 @@ class FlowNetwork:
         allocator="max-min",
     ) -> None:
         self.env = env
-        self._allocator = resolve_allocator(allocator)
         self._flows: dict[int, Flow] = {}
         self._fid = itertools.count(1)
         self._last_update = env.now
@@ -130,27 +96,15 @@ class FlowNetwork:
         self._generation = 0
         #: Completed-flow log (bounded use: bandwidth accounting in traces).
         self.completed: list[Flow] = []
-        #: Incremental engine, engaged only for the registry's
-        #: incremental/vectorized allocators; ``None`` selects the
-        #: oracle path.  ``_slots`` additionally holds the dense
-        #: per-flow arrays on the vectorized path.
-        self._inc = None
-        self._slots = None
-        if _is_incremental(self._allocator):
-            from repro.perf import IncrementalMaxMin
-
-            self._inc = IncrementalMaxMin(self._link_capacity)
-            self._links_by_name: dict[str, Link] = {}
-            #: Lazy-deletion completion heap: (finish_time, version, fid).
-            self._heap: list[tuple[float, int, int]] = []
-            self._flush_pending = False
-        elif _is_vectorized(self._allocator):
-            from repro.perf import FlowSlots, VectorizedMaxMin
-
-            self._inc = VectorizedMaxMin(self._link_capacity)
-            self._slots = FlowSlots()
-            self._links_by_name = {}
-            self._flush_pending = False
+        self._links_by_name: dict[str, Link] = {}
+        self._engine = VectorizedMaxMin(
+            _capacity_fn(self._links_by_name), resolve_allocator(allocator)
+        )
+        self._slots = FlowSlots()
+        self._flush_pending = False
+        #: Whether a drain sweep could find nothing new: no progress,
+        #: rate change or drainable admit since the last sweep.
+        self._swept = True
 
     # ------------------------------------------------------------------
     # Public API
@@ -201,24 +155,18 @@ class FlowNetwork:
 
     @property
     def active_flows(self) -> list[Flow]:
-        self._sync_flow_progress()
-        return list(self._flows.values())
+        """In-flight flows, with ``remaining`` synced to the current
+        progress arrays."""
+        flows = self._flows
+        remaining = self._slots.remaining
+        for fid, slot in self._slots.slot_of.items():
+            flows[fid].remaining = float(remaining[slot])
+        return list(flows.values())
 
     def utilization(self, link: Link) -> float:
         """Current aggregate rate over ``link`` divided by its capacity."""
         load = sum(f.rate for f in self._flows.values() if link in f.links)
         return load / link.bandwidth
-
-    def _sync_flow_progress(self) -> None:
-        """Copy slot-array progress back onto the public :class:`Flow`
-        records (vectorized path only; a no-op elsewhere, where the
-        records are the source of truth)."""
-        if self._slots is None:
-            return
-        flows = self._flows
-        remaining = self._slots.remaining
-        for fid, slot in self._slots.slot_of.items():
-            flows[fid].remaining = float(remaining[slot])
 
     # ------------------------------------------------------------------
     # Internals
@@ -249,102 +197,45 @@ class FlowNetwork:
         obs = self.env.obs
         if obs is not None:
             obs.on_flow_admitted(len(self._flows))
-        if self._inc is None:
-            self._recompute_rates()
-            self._reschedule()
-            return
         for link in flow.links:
             self._links_by_name.setdefault(link.name, link)
-        self._inc.admit(
+        self._engine.admit(
             flow.fid, [link.name for link in flow.links], flow.max_rate
         )
-        if self._slots is not None:
-            self._slots.admit(flow.fid, flow.size, flow.remaining)
+        self._slots.admit(flow.fid, flow.size, flow.remaining)
+        # The sweep's threshold for a flow with no rate yet.
+        if flow.remaining <= flow.size * _EPS + _EPS:
+            self._swept = False
         self._schedule_flush()
 
     def _advance_progress(self) -> None:
         """Move every active flow forward to the current instant."""
         dt = self.env.now - self._last_update
         if dt > 0:
-            if self._slots is not None:
-                self._slots.advance(dt)
-            else:
-                for flow in self._flows.values():
-                    flow.remaining = max(0.0, flow.remaining - flow.rate * dt)
+            self._slots.advance(dt)
+            self._swept = False
         self._last_update = self.env.now
-
-    def _recompute_rates(self) -> None:
-        if not self._flows:
-            return
-        flows = list(self._flows.values())
-        # Effective capacities account for concurrency penalties.
-        users_per_link: dict[str, int] = {}
-        link_by_name: dict[str, Link] = {}
-        for f in flows:
-            for link in f.links:
-                users_per_link[link.name] = users_per_link.get(link.name, 0) + 1
-                link_by_name[link.name] = link
-        capacities = {
-            name: link_by_name[name].effective_bandwidth(users_per_link[name])
-            for name in users_per_link
-        }
-        rates = self._allocator(
-            [[link.name for link in f.links] for f in flows],
-            capacities,
-            [f.max_rate for f in flows],
-        )
-        for f, rate in zip(flows, rates):
-            f.rate = rate
-        obs = self.env.obs
-        if obs is not None:
-            obs.on_rate_solve(len(flows), len(capacities))
-            obs.on_rates_assigned(flows)
-
-    def _next_completion_delay(self) -> Optional[float]:
-        best: Optional[float] = None
-        for flow in self._flows.values():
-            if flow.rate > 0:
-                eta = flow.remaining / flow.rate
-                if best is None or eta < best:
-                    best = eta
-        return best
 
     def _reschedule(self) -> None:
         """(Re)arm the wake-up for the next flow completion."""
         self._generation += 1
-        if self._inc is None:
-            delay = self._next_completion_delay()
-        else:
-            finish = self._peek_next_finish()
-            delay = None if finish is None else finish - self.env.now
-        if delay is None:
+        finish = self._slots.peek_finish()
+        if finish is None:
             return
         generation = self._generation
         wake = Event(self.env)
         wake._ok = True
         wake._value = None
         wake.callbacks.append(lambda _e: self._on_wake(generation))
-        self.env.schedule(wake, priority=EventPriority.HIGH, delay=max(0.0, delay))
-
-    def _finish_threshold(self, flow: Flow) -> float:
-        """Bytes below which a flow counts as complete.
-
-        Two components: an absolute/relative byte epsilon, and the bytes
-        a flow moves during one unit of *time resolution* at the current
-        clock value — float residue smaller than that can never be
-        drained because ``now + eta == now``, which would wake-loop
-        forever.
-        """
-        time_quantum = max(1e-12, abs(self.env.now) * 1e-12)
-        return max(_EPS * flow.size + _EPS, flow.rate * time_quantum)
+        self.env.schedule(
+            wake, priority=EventPriority.HIGH, delay=max(0.0, finish - self.env.now)
+        )
 
     def _remove_flow(self, flow: Flow) -> None:
-        """Drop ``flow`` from the active set (and the incremental engine)."""
+        """Drop ``flow`` from the active set, the engine and the slots."""
         del self._flows[flow.fid]
-        if self._inc is not None and flow.fid in self._inc:
-            self._inc.drain(flow.fid)
-        if self._slots is not None and flow.fid in self._slots.slot_of:
-            self._slots.drop(flow.fid)
+        self._engine.drain(flow.fid)
+        self._slots.drop(flow.fid)
 
     def _sweep_drained(self) -> bool:
         """Finish every flow whose residue is below its threshold.
@@ -352,49 +243,34 @@ class FlowNetwork:
         Progress must already be advanced to ``env.now``.  Returns
         whether anything finished (callers then owe a recomputation).
         """
-        if self._slots is not None:
-            time_quantum = max(1e-12, abs(self.env.now) * 1e-12)
-            finished = [
-                self._flows[fid]
-                for fid in self._slots.drained_fids(time_quantum, _EPS)
-            ]
-        else:
-            finished = [
-                f
-                for f in self._flows.values()
-                if f.remaining <= self._finish_threshold(f)
-            ]
-        for flow in finished:
+        if self._swept:
+            return False
+        time_quantum = max(1e-12, abs(self.env.now) * 1e-12)
+        drained = self._slots.drained_fids(time_quantum, _EPS)
+        for fid in drained:
+            flow = self._flows[fid]
             self._remove_flow(flow)
             self._finish(flow)
-        return bool(finished)
+        self._swept = True
+        return bool(drained)
 
     def _on_wake(self, generation: int) -> None:
         if generation != self._generation:
             return  # stale wake-up; a newer recomputation superseded it
         self._advance_progress()
-        if self._inc is None:
-            if self._sweep_drained():
-                self._recompute_rates()
-            self._reschedule()
-            return
         if not self._sweep_drained():
             # The wake's finish estimate can undershoot a flow's byte
             # threshold by float residue (rate * (T - t0) vs remaining
             # rounding).  Finishing the due flow(s) outright is exact to
             # ulp-level and avoids re-arming a zero-delay wake forever.
             while True:
-                finish = self._peek_next_finish()
+                finish = self._slots.peek_finish()
                 if finish is None or finish > self.env.now:
                     break
-                if self._slots is not None:
-                    fid = self._slots.next_finished_fid()
-                else:
-                    fid = self._heap[0][2]
-                flow = self._flows[fid]
+                flow = self._flows[self._slots.next_finished_fid()]
                 self._remove_flow(flow)
                 self._finish(flow)
-        if self._inc.dirty:
+        if self._engine.dirty:
             self._solve_and_apply()
         self._reschedule()
 
@@ -413,14 +289,12 @@ class FlowNetwork:
                 label=flow.label, size=flow.size,
                 elapsed=flow.elapsed, active=len(self._flows),
             )
-        assert flow.done_event is not None
-        flow.done_event.succeed(flow)
-
-    # ------------------------------------------------------------------
-    # Incremental path
-    # ------------------------------------------------------------------
-    def _link_capacity(self, name: str, n_users: int) -> float:
-        return self._links_by_name[name].effective_bandwidth(n_users)
+        # Drop the flow -> event link before the event takes the flow as
+        # its value, so a finished transfer is freed by reference
+        # counting rather than left for the cycle collector.
+        done, flow.done_event = flow.done_event, None
+        assert done is not None
+        done.succeed(flow)
 
     def _schedule_flush(self) -> None:
         """Arm one end-of-instant solve covering every same-timestamp
@@ -437,31 +311,23 @@ class FlowNetwork:
     def _flush(self, _event: Event) -> None:
         self._flush_pending = False
         self._advance_progress()
-        if self._inc.dirty:
+        if self._engine.dirty:
             self._solve_and_apply()
         self._reschedule()
 
     def _solve_and_apply(self) -> None:
-        stats = self._inc.stats
+        stats = self._engine.stats
         calls = stats.solver_calls
         links = stats.links_touched
         solved = stats.flows_solved
-        changed = self._inc.solve()
+        changed = self._engine.solve()
+        self._swept = False
         now = self.env.now
+        flows = self._flows
         slots = self._slots
         for fid, rate in changed.items():
-            flow = self._flows.get(fid)
-            if flow is None:  # pragma: no cover - defensive
-                continue
-            flow.rate = rate
-            flow.version += 1
-            if slots is not None:
-                slots.set_rate(fid, rate, now)
-            elif rate > 0:
-                heappush(
-                    self._heap,
-                    (now + flow.remaining / rate, flow.version, fid),
-                )
+            flows[fid].rate = rate
+            slots.set_rate(fid, rate, now)
         obs = self.env.obs
         if obs is not None:
             obs.on_rate_solve(
@@ -469,19 +335,17 @@ class FlowNetwork:
                 stats.links_touched - links,
                 solver_calls=stats.solver_calls - calls,
             )
-            obs.on_rates_assigned(list(self._flows.values()))
+            obs.on_rates_assigned(list(flows.values()))
 
-    def _peek_next_finish(self) -> Optional[float]:
-        """Earliest valid completion time, lazily discarding stale heap
-        entries (finished flows, superseded rate versions)."""
-        if self._slots is not None:
-            return self._slots.peek_finish()
-        heap = self._heap
-        while heap:
-            finish, version, fid = heap[0]
-            flow = self._flows.get(fid)
-            if flow is None or flow.version != version or flow.rate <= 0:
-                heappop(heap)
-                continue
-            return finish
-        return None
+
+def _capacity_fn(links_by_name: dict[str, Link]):
+    """The engine's ``(link name, users) -> capacity`` lookup.
+
+    A closure over the link table rather than a bound method, so the
+    engine holds no reference back to its :class:`FlowNetwork`.
+    """
+
+    def capacity(name: str, n_users: int) -> float:
+        return links_by_name[name].effective_bandwidth(n_users)
+
+    return capacity

@@ -85,7 +85,7 @@ class LiveBus:
         self._clock = clock
         self._ring: deque[dict[str, Any]] = deque(maxlen=ring_size)
         self._since_flush = 0
-        self.dropped = 0
+        self._dropped_before_flush = 0
         self.seq = 0
         self.closed = False
         self._observer: Optional["Observer"] = None
@@ -107,12 +107,20 @@ class LiveBus:
         """Buffer one typed record; flushes when the interval is reached."""
         if self.closed:
             return
-        if len(self._ring) == self.ring_size:
-            self.dropped += 1
         self._ring.append(record)
         self._since_flush += 1
         if self._since_flush >= self.flush_every:
             self.flush()
+
+    @property
+    def dropped(self) -> int:
+        """Records the full ring has discarded so far.
+
+        Worked out from counts rather than tallied per push, which keeps
+        the producer side to an append: every push since the last flush
+        that the ring no longer holds was dropped.
+        """
+        return self._dropped_before_flush + self._since_flush - len(self._ring)
 
     # ------------------------------------------------------------------
     # Flush / close
@@ -123,6 +131,7 @@ class LiveBus:
             return
         ts = self._clock()
         self._ensure_files()
+        self._dropped_before_flush = self.dropped
         self._since_flush = 0
         drained = list(self._ring)
         self._ring.clear()

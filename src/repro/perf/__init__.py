@@ -1,61 +1,34 @@
-"""Performance engine: the incremental max-min fair-share solver.
+"""The flow engine's rate solver: dirty-component dense water-filling.
 
-The global progressive-filling solver
-(:func:`repro.network.fairshare.max_min_fair_rates`) re-solves *every*
-active flow and link on every admit/drain — fine for ten flows, ruinous
-for the 903-task 1000Genomes sweeps.  This package exploits the fact
-that max-min fairness decomposes exactly over connected components of
-the bipartite flow/link graph: an admit or drain can only change rates
-inside the component(s) it touches, so everything else keeps its cached
-allocation bit-for-bit.
+Max-min fairness decomposes exactly over the connected components of the
+bipartite flow/link graph, so an admit or drain can only change rates
+inside the component(s) it touches.  :class:`VectorizedMaxMin` tracks
+that graph at the granularity of identical-constraint flow groups and
+re-solves only dirty components, each with the dense water-filling
+kernel (:func:`vectorized_max_min_rates`, the registry's ``"max-min"``
+allocator).  :class:`FlowSlots` holds the per-flow progress arrays the
+flow network advances and sweeps in whole-array operations.
 
-* :class:`IncrementalMaxMin` — the stateful engine: per-link flow sets,
-  a dirty-set of links touched since the last solve, component closure
-  by BFS, and a per-component call into the unchanged global oracle.
-* :func:`incremental_max_min_rates` — the stateless
-  :class:`~repro.network.allocators.RateAllocator` view of the same
-  algorithm, registered as ``"incremental"``; selecting it by name turns
-  on :class:`~repro.network.FlowNetwork`'s incremental hot path.
-* :class:`VectorizedMaxMin` / :func:`vectorized_max_min_rates` — the
-  dense water-filling kernel (numpy argmin over per-link saturation
-  levels, identical-constraint flow grouping), registered as
-  ``"vectorized"``; selecting it by name additionally puts
-  :class:`~repro.network.FlowNetwork` on the slot-array hot path
-  (:class:`FlowSlots`).  See :mod:`repro.perf.vectorized`.
-
-Semantics: rates are *bit-identical* to running the oracle on each
-connected component, and identical to the whole-graph oracle whenever
-the graph is one component (always, up to float associativity in the
-ulps when several independent components exist — see
-``docs/PERF.md``).  The differential suite in ``tests/perf/`` enforces
-both properties on randomized graphs.
+The kernel's rates track the progressive-filling oracle
+(:func:`repro.network.fairshare.max_min_fair_rates`) to well inside
+1e-9 relative; the differential suite in ``tests/perf/`` enforces this
+on randomized graphs and admit/drain interleavings (see
+``docs/PERF.md``).  This package depends on numpy only, so
+``repro.network`` can build on it without an import cycle.
 """
 
-from repro.network.allocators import register_allocator
-from repro.perf.incremental import (
-    IncrementalMaxMin,
-    SolverStats,
-    incremental_max_min_rates,
-    static_capacity,
-)
-
 from repro.perf.vectorized import (
-    HAVE_NUMPY,
     FlowSlots,
+    SolverStats,
     VectorizedMaxMin,
+    static_capacity,
     vectorized_max_min_rates,
 )
 
-register_allocator("incremental", incremental_max_min_rates)
-register_allocator("vectorized", vectorized_max_min_rates)
-
 __all__ = [
-    "HAVE_NUMPY",
     "FlowSlots",
-    "IncrementalMaxMin",
     "SolverStats",
     "VectorizedMaxMin",
-    "incremental_max_min_rates",
     "static_capacity",
     "vectorized_max_min_rates",
 ]

@@ -1,4 +1,4 @@
-"""Vectorized max-min fair sharing: dense link-state water-filling.
+"""The flow engine's rate solver: dense dirty-component water-filling.
 
 The oracle (:func:`~repro.network.fairshare.max_min_fair_rates`) walks
 every link and every active flow once per progressive-filling round —
@@ -22,48 +22,47 @@ module replaces that inner loop with dense per-link state:
   workloads are full of such classes (N parallel stage-ins over one
   route), so this shrinks both the dense vectors and the freeze work.
 * **Oracle-compatible freezing.**  The oracle freezes a link when its
-  remaining capacity falls below ``_REL_TOL x capacity``, i.e. slightly
+  remaining capacity falls below ``REL_TOL x capacity``, i.e. slightly
   *early*.  The kernel mirrors that with a per-link freeze threshold
-  ``FREEZE_AT[l] = SAT[l] - _REL_TOL x capacity[l] / users[l]``, so
+  ``FREEZE_AT[l] = SAT[l] - REL_TOL x capacity[l] / users[l]``, so
   freeze sets — and hence the resulting rate vectors — track the oracle
   to float-roundoff (well inside the 1e-9 differential tolerance; see
   ``docs/PERF.md`` for the exact argument).
+* **Dirty components.**  Max-min fairness decomposes exactly over the
+  connected components of the bipartite flow/link graph, so an admit or
+  drain can only change rates inside the component(s) it touches.
 
-Two entry points:
+Entry points:
 
-* :func:`vectorized_max_min_rates` — stateless
-  :class:`~repro.network.allocators.RateAllocator`, registered as
-  ``"vectorized"``.
-* :class:`VectorizedMaxMin` — the stateful engine with the same
-  admit/drain/solve surface as
-  :class:`~repro.perf.incremental.IncrementalMaxMin`, but with
-  group-level bookkeeping so dirty-component BFS and per-solve setup
-  scale with the number of constraint classes, not flows.
-
-:class:`FlowSlots` holds the slot-allocated dense per-flow arrays
-(remaining bytes, rate, finish time) that
-:class:`~repro.network.FlowNetwork` uses on its vectorized path to
-advance and sweep all in-flight transfers without per-event allocation.
-
-Everything degrades gracefully without numpy: the module imports, the
-kernel falls back to scalar scans, and only :class:`FlowSlots` (used
-solely by the flownet vectorized path) requires the real thing.
+* :func:`vectorized_max_min_rates` — the stateless kernel, registered
+  as the ``"max-min"``
+  :class:`~repro.network.allocators.RateAllocator`.
+* :class:`VectorizedMaxMin` — the stateful engine behind
+  :class:`~repro.network.FlowNetwork`: admit/drain mark links dirty and
+  :meth:`~VectorizedMaxMin.solve` re-solves only the components they
+  reach, at *group* granularity.  Any other allocator callable is
+  applied to a dirty component's member flows instead of the kernel.
+* :class:`FlowSlots` — slot-allocated dense per-flow arrays (remaining
+  bytes, rate, finish time) that let the flow network advance and sweep
+  all in-flight transfers without per-event allocation.
 """
 # lint: hot-path - solve() runs on every flow admit/drain
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from repro.network.fairshare import _REL_TOL
-from repro.perf.incremental import CapacityFn, SolverStats
+import numpy as _np
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI images always ship numpy
-    _np = None
-
-HAVE_NUMPY = _np is not None
+#: Relative tolerance for deciding that a flow sits at its cap or that a
+#: link is saturated, shared with the oracle.  The tolerance MUST be
+#: relative (scaled by the cap or capacity it is compared against): an
+#: absolute epsilon freezes every flow whose cap is within epsilon of
+#: another's, which mis-allocates whenever caps themselves are
+#: epsilon-sized (e.g. the tiny finish thresholds the flow network
+#: produces for nearly-drained transfers).
+REL_TOL = 1e-9
 
 _INF = float("inf")
 
@@ -71,6 +70,42 @@ _INF = float("inf")
 #: overhead dominates on tiny vectors).  Results are identical either
 #: way: both pick the first minimum in link-index order.
 _NP_MIN_LINKS = 16
+
+#: Capacity of a link given how many flows currently use it.  The user
+#: count matters because :class:`~repro.network.Link` applies an optional
+#: concurrency penalty to its aggregate bandwidth.
+CapacityFn = Callable[[Hashable, int], float]
+
+
+def static_capacity(capacities: Mapping[Hashable, float]) -> CapacityFn:
+    """A :data:`CapacityFn` over a fixed capacity table (no penalty)."""
+
+    def capacity(link: Hashable, n_users: int) -> float:
+        return capacities[link]
+
+    return capacity
+
+
+@dataclass
+class SolverStats:
+    """Work counters for one engine (reset with :meth:`reset`).
+
+    ``solver_calls`` counts component solves, ``links_touched`` /
+    ``flows_solved`` the total subproblem sizes (member flows, not
+    groups), and ``full_solves`` how often a component spanned the whole
+    graph (the case where dirty tracking buys nothing).
+    """
+
+    solver_calls: int = 0
+    links_touched: int = 0
+    flows_solved: int = 0
+    full_solves: int = 0
+
+    def reset(self) -> None:
+        self.solver_calls = 0
+        self.links_touched = 0
+        self.flows_solved = 0
+        self.full_solves = 0
 
 
 # ----------------------------------------------------------------------
@@ -111,12 +146,12 @@ def _waterfill_groups(
         if u > 0.0:
             share = rem[l] / u
             sat[l] = share
-            frz[l] = share - _REL_TOL * link_caps[l] / u
+            frz[l] = share - REL_TOL * link_caps[l] / u
         else:
             sat[l] = _INF
             frz[l] = _INF
 
-    use_np = HAVE_NUMPY and n_links >= _NP_MIN_LINKS
+    use_np = n_links >= _NP_MIN_LINKS
     if use_np:
         sat_np = _np.array(sat)
         frz_np = _np.array(frz)
@@ -148,7 +183,7 @@ def _waterfill_groups(
             usr[l] = u
             if u > 0.0:
                 s = level + rem[l] / u
-                f = s - _REL_TOL * link_caps[l] / u
+                f = s - REL_TOL * link_caps[l] / u
             else:
                 s = _INF
                 f = _INF
@@ -184,7 +219,7 @@ def _waterfill_groups(
             if frozen[g]:
                 cap_ptr += 1
                 continue
-            if cap * (1.0 - _REL_TOL) <= level:
+            if cap * (1.0 - REL_TOL) <= level:
                 freeze(g, level)
                 cap_ptr += 1
             else:
@@ -197,7 +232,7 @@ def _waterfill_groups(
         if use_np:
             hits = (frz_np <= level).nonzero()[0].tolist()
         else:
-            hits = [l for l in range(n_links) if frz[l] <= level]  # lint: ignore[SIM061] - scalar fallback for tiny components
+            hits = [l for l in range(n_links) if frz[l] <= level]  # lint: ignore[SIM061] - scalar scan for tiny components
         for l in hits:
             for g in link_groups[l]:
                 if not frozen[g]:
@@ -265,12 +300,12 @@ def vectorized_max_min_rates(
     """Max-min fair rates via the dense water-filling kernel.
 
     The :class:`~repro.network.allocators.RateAllocator` registered as
-    ``"vectorized"``: same inputs, outputs, and validation errors as
+    ``"max-min"``: same inputs, outputs, and validation errors as
     :func:`~repro.network.fairshare.max_min_fair_rates`, with rates
     agreeing to well inside 1e-9 relative (the differential suite in
-    ``tests/perf/test_vectorized.py`` enforces this property).  Selecting
-    it by name switches :class:`~repro.network.FlowNetwork` onto the
-    slot-array hot path backed by :class:`VectorizedMaxMin`.
+    ``tests/perf/test_vectorized.py`` enforces this property).
+    :class:`VectorizedMaxMin` recognizes it and hands each dirty
+    component's groups to the kernel directly.
     """
     n = len(flow_links)
     if flow_caps is None:
@@ -298,26 +333,30 @@ class _Group:
 
 
 class VectorizedMaxMin:
-    """Dirty-component max-min engine over identical-constraint groups.
+    """Dirty-component rate engine over identical-constraint groups.
 
-    Same public surface as
-    :class:`~repro.perf.incremental.IncrementalMaxMin` (``admit`` /
-    ``drain`` / ``solve`` / ``rate`` / ``rates`` / ``dirty`` /
-    ``stats``), but the flow/link graph is maintained at *group*
-    granularity and each dirty component is solved by the dense
-    water-filling kernel instead of the pure-Python oracle.  Stats
-    semantics match the incremental engine (``flows_solved`` counts
-    member flows, not groups, so benchmark reports stay comparable).
+    ``admit`` / ``drain`` maintain the flow/link graph at *group*
+    granularity and mark the touched links dirty; ``solve`` recomputes
+    only the components reachable from dirty state.  With the default
+    ``allocator`` (:func:`vectorized_max_min_rates`) a component's groups
+    go straight to the water-filling kernel.  Any other
+    :class:`~repro.network.allocators.RateAllocator` (equal split, the
+    oracle in tests) is called on the component's member flows in
+    admission order.  ``stats.flows_solved`` counts member flows, not
+    groups.
     """
 
-    def __init__(self, capacity_fn: CapacityFn) -> None:
+    def __init__(self, capacity_fn: CapacityFn, allocator=None) -> None:
         self._capacity_fn = capacity_fn
+        self._allocator = (
+            vectorized_max_min_rates if allocator is None else allocator
+        )
         self._fid_group: dict[Hashable, int] = {}
         self._groups: dict[int, _Group] = {}
         self._group_index: dict = {}
         self._link_groups: dict[Hashable, set[int]] = {}
         self._link_users: dict[Hashable, int] = {}
-        self._rates: dict[int, float] = {}
+        self._rates: dict[Hashable, float] = {}
         self._next_gid = 0
         self._dirty_links: set = set()
         self._dirty_groups: set = set()
@@ -351,13 +390,13 @@ class VectorizedMaxMin:
             group = _Group(key, link_tuple, cap)
             self._groups[gid] = group
             self._group_index[key] = gid
-            self._rates[gid] = 0.0
             for link in link_tuple:
                 self._link_groups.setdefault(link, set()).add(gid)  # lint: ignore[SIM061] - only on first admit of a new group
         else:
             group = self._groups[gid]
         group.members.add(fid)
         self._fid_group[fid] = gid
+        self._rates[fid] = 0.0
         for link in group.links:
             self._link_users[link] = self._link_users.get(link, 0) + 1
             self._dirty_links.add(link)
@@ -370,6 +409,7 @@ class VectorizedMaxMin:
             gid = self._fid_group.pop(fid)
         except KeyError:
             raise KeyError(f"flow {fid!r} is not admitted") from None
+        del self._rates[fid]
         group = self._groups[gid]
         group.members.discard(fid)
         for link in group.links:
@@ -382,7 +422,6 @@ class VectorizedMaxMin:
         if not group.members:
             del self._groups[gid]
             del self._group_index[group.key]
-            del self._rates[gid]
             self._dirty_groups.discard(gid)
             for link in group.links:
                 peers = self._link_groups[link]
@@ -393,14 +432,12 @@ class VectorizedMaxMin:
             self._dirty_groups.add(gid)
 
     def rate(self, fid: Hashable) -> float:
-        return self._rates[self._fid_group[fid]]
+        return self._rates[fid]
 
     @property
     def rates(self) -> dict[Hashable, float]:
         """Current rate of every admitted flow (a copy)."""
-        return {
-            fid: self._rates[gid] for fid, gid in self._fid_group.items()
-        }
+        return dict(self._rates)
 
     @property
     def dirty(self) -> bool:
@@ -431,6 +468,7 @@ class VectorizedMaxMin:
             component = self._component_of(seed)
             visited |= component
             self._solve_component(component, changed)
+        self._rates.update(changed)
         return changed
 
     def _component_of(self, seed: int) -> set[int]:
@@ -453,74 +491,82 @@ class VectorizedMaxMin:
     def _solve_component(
         self, component: set[int], changed: dict[Hashable, float]
     ) -> None:
-        """Water-fill one component; fold its rates into ``changed``."""
+        """Solve one component; fold its member-flow rates into ``changed``."""
         # Stable group order (creation order) so the dense encoding —
         # and argmin tie-breaking — never depends on set iteration.
         gids = sorted(component)
+        groups = self._groups
         lid: dict = {}
         link_caps: list[float] = []
         group_links: list[list[int]] = []
-        group_caps: list[float] = []
-        weights: list[int] = []
         capacity_fn = self._capacity_fn
         link_users = self._link_users
         for gid in gids:
-            group = self._groups[gid]
             locs = []  # lint: ignore[SIM061] - dense repack amortized over dirty groups
-            for link in group.links:
+            for link in groups[gid].links:
                 j = lid.get(link)
                 if j is None:
                     j = lid[link] = len(link_caps)
                     link_caps.append(capacity_fn(link, link_users[link]))
                 locs.append(j)
             group_links.append(locs)
-            group_caps.append(group.cap)
-            weights.append(len(group.members))
-        rates = _waterfill_groups(group_links, group_caps, weights, link_caps)
         flows_solved = 0
-        for gid, rate in zip(gids, rates):
-            self._rates[gid] = rate
-            members = self._groups[gid].members
-            flows_solved += len(members)
-            for fid in members:
-                changed[fid] = rate
+        if self._allocator is vectorized_max_min_rates:
+            rates = _waterfill_groups(
+                group_links,
+                [groups[gid].cap for gid in gids],
+                [len(groups[gid].members) for gid in gids],
+                link_caps,
+            )
+            for gid, rate in zip(gids, rates):
+                members = groups[gid].members
+                flows_solved += len(members)
+                for fid in members:
+                    changed[fid] = rate
+        else:
+            fids = [
+                fid for fid, gid in self._fid_group.items() if gid in component
+            ]
+            member_groups = [groups[self._fid_group[fid]] for fid in fids]
+            rates = self._allocator(
+                [group.links for group in member_groups],
+                {link: link_caps[j] for link, j in lid.items()},
+                [group.cap for group in member_groups],
+            )
+            flows_solved = len(fids)
+            changed.update(zip(fids, rates))
         stats = self.stats
         stats.solver_calls += 1
         stats.links_touched += len(link_caps)
         stats.flows_solved += flows_solved
-        if len(gids) == len(self._groups):
+        if len(gids) == len(groups):
             stats.full_solves += 1
 
 
 # ----------------------------------------------------------------------
-# Slot-based flow records (the flownet vectorized hot path)
+# Slot-based flow records (the flow network's per-flow progress)
 # ----------------------------------------------------------------------
 class FlowSlots:
     """Dense slot-allocated arrays for in-flight flow progress.
 
     Each admitted flow occupies one slot across parallel numpy arrays
-    (remaining bytes, current rate, total size, absolute finish time).
-    Advancing simulated time, sweeping drained flows, and peeking the
-    next completion are whole-array operations; freed slots are recycled
-    through a free list so steady-state simulation allocates nothing per
-    event.  Inactive slots are kept neutral (rate 0, remaining 0, finish
-    ``inf``) so no masking is needed on the hot operations.
-
-    Arithmetic is element-wise identical to the scalar bookkeeping in
-    :class:`~repro.network.FlowNetwork` (same IEEE ops in the same
-    order), which is what keeps the vectorized path's event stream
-    bit-compatible with the incremental one.
+    (remaining bytes, current rate, total size, absolute finish time,
+    live flag).  Advancing simulated time, sweeping drained flows, and
+    peeking the next completion are whole-array operations; freed slots
+    are recycled through a free list so steady-state simulation
+    allocates nothing per event.  Freed slots are kept neutral (rate 0,
+    remaining 0, finish ``inf``, not live), so only the drain sweep needs
+    the live mask.
     """
 
     def __init__(self, capacity: int = 64) -> None:
-        if _np is None:  # pragma: no cover - CI images always ship numpy
-            raise RuntimeError("FlowSlots requires numpy")
         capacity = max(1, capacity)
         self.remaining = _np.zeros(capacity)
         self.rate = _np.zeros(capacity)
         self.size = _np.zeros(capacity)
         self.finish = _np.full(capacity, _INF)
         self.fids = _np.zeros(capacity, dtype=_np.int64)
+        self.live = _np.zeros(capacity, dtype=bool)
         self.slot_of: dict[int, int] = {}
         self._free = list(range(capacity - 1, -1, -1))
 
@@ -530,7 +576,7 @@ class FlowSlots:
     def _grow(self) -> None:
         old = len(self.remaining)
         new = old * 2
-        for name in ("remaining", "rate", "size", "fids"):
+        for name in ("remaining", "rate", "size", "fids", "live"):
             arr = getattr(self, name)
             grown = _np.zeros(new, dtype=arr.dtype)
             grown[:old] = arr
@@ -551,6 +597,7 @@ class FlowSlots:
         self.size[slot] = size
         self.finish[slot] = _INF
         self.fids[slot] = fid
+        self.live[slot] = True
         return slot
 
     def drop(self, fid: int) -> None:
@@ -560,12 +607,13 @@ class FlowSlots:
         self.rate[slot] = 0.0
         self.size[slot] = 0.0
         self.finish[slot] = _INF
+        self.live[slot] = False
         self._free.append(slot)
 
     def advance(self, dt: float) -> None:
         """Move every flow forward by ``dt`` at its current rate."""
         # remaining = max(0.0, remaining - rate * dt), as scalar code
-        # writes it; inactive slots stay 0 - 0 * dt == 0.
+        # writes it; freed slots stay 0 - 0 * dt == 0.
         _np.maximum(0.0, self.remaining - self.rate * dt, out=self.remaining)
 
     def set_rate(self, fid: int, rate: float, now: float) -> None:
@@ -580,25 +628,16 @@ class FlowSlots:
         return float(self.remaining[self.slot_of[fid]])
 
     def drained_fids(self, time_quantum: float, eps: float) -> list[int]:
-        """Flows whose residue is below the finish threshold.
+        """Live flows whose residue is below the finish threshold.
 
-        The threshold mirrors ``FlowNetwork._finish_threshold``:
-        ``max(eps * size + eps, rate * time_quantum)`` — vectorized over
-        every slot.  Freed slots would qualify too (their remaining is
-        exactly 0), so hits are filtered back against the live-slot
-        table by slot identity.
+        The threshold is ``max(eps * size + eps, rate * time_quantum)``:
+        a byte epsilon, and the bytes a flow moves in one unit of time
+        resolution (residue below that can never drain, because
+        ``now + eta == now``).  Hits come back in slot order.
         """
         thr = _np.maximum(self.size * eps + eps, self.rate * time_quantum)
-        hits = _np.nonzero(self.remaining <= thr)[0]
-        if hits.size == 0:
-            return []
-        live = self.slot_of
-        fids = self.fids
-        return [
-            int(fids[slot])
-            for slot in hits.tolist()
-            if live.get(int(fids[slot])) == slot
-        ]
+        hits = ((self.remaining <= thr) & self.live).nonzero()[0]
+        return self.fids[hits].tolist()
 
     def peek_finish(self) -> "float | None":
         """Earliest absolute finish time, or ``None`` if nothing is due."""

@@ -77,6 +77,8 @@ class StorageService(abc.ABC):
         self.capacity = capacity
         self.latencies = latencies or ServiceLatencies()
         self._contents: dict[str, File] = {}
+        #: Running sum of the sizes in ``_contents``.
+        self._used = 0.0
         #: Serialized metadata server: every read/write holds one slot
         #: for ``metadata_service_time`` seconds before its transfer
         #: starts.  Unlike per-flow latency (which concurrent operations
@@ -95,7 +97,7 @@ class StorageService(abc.ABC):
     # ------------------------------------------------------------------
     @property
     def used(self) -> float:
-        return sum(f.size for f in self._contents.values())
+        return self._used
 
     @property
     def free_space(self) -> float:
@@ -115,14 +117,17 @@ class StorageService(abc.ABC):
         """
         if self.contains(file):
             return
-        self._reserve(file)
-        self._contents[file.name] = file
+        self._store(file)
         self._notify_occupancy()
         self._log_content_event("file_added", file)
 
     def delete(self, file: File) -> None:
         """Remove ``file``, freeing its space (no-op if absent)."""
-        if self._contents.pop(file.name, None) is not None:
+        stored = self._contents.pop(file.name, None)
+        if stored is not None:
+            # An empty table resets the counter, so float residue from
+            # fractional sizes cannot outlive the files that caused it.
+            self._used = self._used - stored.size if self._contents else 0.0
             self._notify_occupancy()
             self._log_content_event("file_deleted", file)
 
@@ -146,6 +151,12 @@ class StorageService(abc.ABC):
         obs = self.env.obs
         if obs is not None:
             obs.on_storage_op(self.name, kind, nbytes)
+
+    def _store(self, file: File) -> None:
+        """Reserve space for ``file`` and enter it in the content table."""
+        self._reserve(file)
+        self._contents[file.name] = file
+        self._used += file.size
 
     def _reserve(self, file: File) -> None:
         if file.size > self.free_space:
@@ -171,8 +182,7 @@ class StorageService(abc.ABC):
         the last byte lands, at which point the file becomes readable.
         """
         if not self.contains(file):
-            self._reserve(file)
-            self._contents[file.name] = file
+            self._store(file)
             self._notify_occupancy()
         self._notify_op("write", file.size)
         return self._gated(lambda: self._write_flow(file, src_host))

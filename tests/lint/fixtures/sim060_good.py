@@ -5,7 +5,7 @@ from repro.network import FlowNetwork, resolve_allocator
 
 def build_network(env, name):
     # The registry keeps the discipline nameable (config, sweep, CLI)
-    # and lets FlowNetwork engage the incremental fast path.
+    # and lets FlowNetwork pick the component solver.
     return FlowNetwork(env, allocator=name)
 
 

@@ -6,16 +6,16 @@ from repro.network import (
     DEFAULT_ALLOCATOR,
     allocator_names,
     equal_split_rates,
-    max_min_fair_rates,
     register_allocator,
     resolve_allocator,
 )
+from repro.perf import vectorized_max_min_rates
 
 
 def test_default_resolves_to_max_min():
     assert DEFAULT_ALLOCATOR == "max-min"
-    assert resolve_allocator(None) is max_min_fair_rates
-    assert resolve_allocator("max-min") is max_min_fair_rates
+    assert resolve_allocator(None) is vectorized_max_min_rates
+    assert resolve_allocator("max-min") is vectorized_max_min_rates
 
 
 def test_named_lookup():
@@ -34,16 +34,15 @@ def test_unknown_name_lists_choices():
         resolve_allocator("nope")
 
 
-def test_incremental_registered_lazily():
-    names = allocator_names()
-    assert {"max-min", "equal-split", "incremental"} <= set(names)
-    from repro.perf import incremental_max_min_rates
-
-    assert resolve_allocator("incremental") is incremental_max_min_rates
+def test_builtin_names_are_max_min_and_equal_split():
+    assert {"max-min", "equal-split"} <= set(allocator_names())
+    for removed in ("incremental", "vectorized"):
+        with pytest.raises(ValueError, match="unknown allocator"):
+            resolve_allocator(removed)
 
 
 def test_reregistering_same_callable_is_idempotent():
-    register_allocator("max-min", max_min_fair_rates)  # no error
+    register_allocator("max-min", vectorized_max_min_rates)  # no error
 
 
 def test_rebinding_name_is_rejected():

@@ -280,6 +280,9 @@ def test_drained_flow_swept_before_new_admission():
         yield env.timeout(1.0 - 1e-13)
         net.transfer(1.0, [l], label="new")
         seen["active"] = [f.label for f in net.active_flows]
+        # Rates are solved at the end of the instant, so read them once
+        # the admission's flush has run.
+        yield env.timeout(0.5)
         seen["rates"] = {f.label: f.rate for f in net.active_flows}
 
     env.process(starter(env))
@@ -287,4 +290,25 @@ def test_drained_flow_swept_before_new_admission():
     # The drained flow must be finished during admission, not left to
     # claim half the link until the next wake-up.
     assert seen["active"] == ["new"]
-    assert seen["rates"]["new"] == pytest.approx(1.0)
+    assert seen["rates"] == {"new": pytest.approx(1.0)}
+
+
+def test_drainable_admit_swept_before_same_instant_admission():
+    """A flow below its finish threshold on arrival leaves at the next
+    admission of the same instant, like one that drained over time."""
+    env = des.Environment()
+    net = FlowNetwork(env)
+    l = Link("l", bandwidth=1.0)
+    seen = {}
+
+    def starter(env):
+        net.transfer(1e-12, [l], label="tiny")
+        net.transfer(1.0, [l], label="big")
+        seen["active"] = [f.label for f in net.active_flows]
+        yield env.timeout(0.5)
+        seen["rates"] = {f.label: f.rate for f in net.active_flows}
+
+    env.process(starter(env))
+    env.run()
+    assert seen["active"] == ["big"]
+    assert seen["rates"] == {"big": pytest.approx(1.0)}

@@ -1,10 +1,16 @@
-"""FlowNetwork-level differential tests: incremental path vs default.
+"""FlowNetwork-level differential tests for the one flow engine.
 
-The incremental allocator is an optimization of the event loop, not a
-model change — a simulation run with ``allocator="incremental"`` must
-produce the same flow completion times as the default path (to float
-associativity: per-component solves accumulate progressive-filling
-increments in a different order than the global solve).
+The engine re-solves only dirty components, at the end of each instant,
+with the dense water-filling kernel.  It is an optimization of the event
+loop, not a model change, so:
+
+* its makespans on seeded random simulations equal those recorded from
+  the global oracle path the network used to run by default (to 1e-9:
+  the kernel and the absolute finish times differ from that path in the
+  last ulps);
+* per flow, its completion times equal a run of the same engine with the
+  progressive-filling oracle ``max_min_fair_rates`` as the component
+  solver.
 """
 
 from __future__ import annotations
@@ -12,14 +18,30 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
+
 from repro import des
-from repro.network import FlowNetwork, Link
+from repro.network import FlowNetwork, Link, max_min_fair_rates
 from repro.obs import Observer
 
 _REL = 1e-9
 
+#: Makespans of ``_run_random_sim(allocator, seed)`` recorded from the
+#: global oracle path (every event re-solved every active flow) before
+#: that path was removed.
+ORACLE_PATH_MAKESPANS = {
+    ("max-min", 1): 731.288496925602,
+    ("max-min", 7): 627.6653784007697,
+    ("max-min", 23): 568.1163886548416,
+    ("max-min", 42): 677.232261320712,
+    ("equal-split", 1): 731.2884969256021,
+    ("equal-split", 7): 628.0412503037867,
+    ("equal-split", 23): 568.7696665520014,
+    ("equal-split", 42): 677.232261320712,
+}
 
-def _run_random_sim(allocator: str, seed: int, n_flows: int = 60):
+
+def _run_random_sim(allocator, seed: int, n_flows: int = 60):
     """Admit randomized flows over a clustered topology; return
     completion times by label."""
     rng = random.Random(seed)
@@ -48,21 +70,30 @@ def _run_random_sim(allocator: str, seed: int, n_flows: int = 60):
     return {f.label: f.completed_at for f in net.completed}
 
 
+@pytest.mark.parametrize("allocator, seed", sorted(ORACLE_PATH_MAKESPANS))
+def test_makespan_matches_recorded_oracle_path(allocator, seed):
+    makespan = max(_run_random_sim(allocator, seed).values())
+    expected = ORACLE_PATH_MAKESPANS[(allocator, seed)]
+    assert math.isclose(makespan, expected, rel_tol=_REL), (makespan, expected)
+
+
 def test_incremental_matches_default_on_random_sims():
+    """The kernel and the oracle, each as the engine's component solver,
+    complete every flow at the same time."""
     for seed in (1, 7, 23):
         default = _run_random_sim("max-min", seed)
-        incremental = _run_random_sim("incremental", seed)
-        assert default.keys() == incremental.keys()
-        for label, expected in default.items():
+        oracle = _run_random_sim(max_min_fair_rates, seed)
+        assert default.keys() == oracle.keys()
+        for label, expected in oracle.items():
             assert math.isclose(
-                incremental[label], expected, rel_tol=_REL, abs_tol=1e-9
-            ), (label, incremental[label], expected)
+                default[label], expected, rel_tol=_REL, abs_tol=1e-9
+            ), (label, default[label], expected)
 
 
 def test_same_timestamp_admits_are_batched_into_one_solve():
     """N admits at one instant must cost one deferred solve, not N."""
 
-    def run(allocator: str) -> tuple[float, float]:
+    def run(allocator) -> tuple[float, float]:
         obs = Observer(metrics=["network"])
         env = des.Environment()
         obs.attach(env)
@@ -80,20 +111,17 @@ def test_same_timestamp_admits_are_batched_into_one_solve():
         makespan = max(f.completed_at for f in net.completed)
         return solves, makespan
 
-    default_solves, default_makespan = run("max-min")
-    incremental_solves, incremental_makespan = run("incremental")
-    assert math.isclose(incremental_makespan, default_makespan, rel_tol=_REL)
-    # Default path: one global solve per admit (8) + completions.
-    assert default_solves >= 8
-    # Incremental path: the 8 same-timestamp admits coalesce into one
-    # component solve; completions add a few more.
-    assert incremental_solves < default_solves
-    assert incremental_solves <= 8
+    for allocator in ("max-min", max_min_fair_rates):
+        solves, makespan = run(allocator)
+        assert makespan == pytest.approx(80.0, rel=_REL)
+        # The 8 same-timestamp admits coalesce into one component solve;
+        # the simultaneous completions drain without another.
+        assert solves == 1, allocator
 
 
 def test_incremental_zero_byte_and_loopback_flows():
     env = des.Environment()
-    net = FlowNetwork(env, allocator="incremental")
+    net = FlowNetwork(env)
     link = Link("l", bandwidth=100.0)
     seen = []
 
@@ -115,7 +143,7 @@ def test_incremental_observer_counters_present():
     obs = Observer(metrics=["network"])
     env = des.Environment()
     obs.attach(env)
-    net = FlowNetwork(env, allocator="incremental")
+    net = FlowNetwork(env)
     link = Link("l", bandwidth=10.0)
 
     def p():

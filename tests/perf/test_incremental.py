@@ -1,6 +1,10 @@
-"""Differential tests: the incremental solver against the global oracle.
+"""The dirty-component engine with a generic component solver.
 
-The contract (see ``docs/PERF.md``):
+:class:`VectorizedMaxMin` hands each dirty component to its allocator.
+With the default kernel it solves identical-constraint groups; any other
+:class:`~repro.network.allocators.RateAllocator` is called on the
+component's member flows in admission order.  These tests run the engine
+with the progressive-filling oracle as that solver, so:
 
 * per recomputed component, rates are **bit-identical** to running
   :func:`max_min_fair_rates` on that component alone (the engine
@@ -18,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.fairshare import max_min_fair_rates
-from repro.perf import IncrementalMaxMin, incremental_max_min_rates, static_capacity
+from repro.network.fairshare import equal_split_rates, max_min_fair_rates
+from repro.perf import VectorizedMaxMin, static_capacity
 
 _REL = 1e-9
 
@@ -28,8 +32,8 @@ def close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=_REL, abs_tol=1e-12)
 
 
-def make_engine(capacities):
-    return IncrementalMaxMin(static_capacity(capacities))
+def make_engine(capacities, allocator=max_min_fair_rates):
+    return VectorizedMaxMin(static_capacity(capacities), allocator)
 
 
 # ----------------------------------------------------------------------
@@ -138,25 +142,15 @@ def test_full_solve_counted_only_when_component_spans_graph():
     assert engine.stats.full_solves == 0
 
 
-# ----------------------------------------------------------------------
-# Stateless wrapper (the registered "incremental" allocator)
-# ----------------------------------------------------------------------
-def test_wrapper_matches_oracle_validation():
-    with pytest.raises(ValueError, match="non-positive capacity"):
-        incremental_max_min_rates([["l"]], {"l": 0.0})
-    with pytest.raises(ValueError, match="unknown link"):
-        incremental_max_min_rates([["nope"]], {"l": 1.0})
-    with pytest.raises(ValueError, match="flow_caps length"):
-        incremental_max_min_rates([["l"]], {"l": 1.0}, flow_caps=[1.0, 2.0])
-
-
-def test_wrapper_matches_oracle_rates():
-    flow_links = [["a"], ["a", "b"], ["c"], []]
-    capacities = {"a": 100.0, "b": 20.0, "c": 70.0}
-    caps = [float("inf"), float("inf"), 10.0, 5.0]
-    got = incremental_max_min_rates(flow_links, capacities, caps)
-    expected = max_min_fair_rates(flow_links, capacities, caps)
-    assert all(close(g, e) for g, e in zip(got, expected))
+def test_equal_split_solver_sees_member_flows():
+    # Two groups share link "a"; equal split counts member flows, not
+    # groups, so the lone flow on ["a", "b"] gets 100 / 3 on "a".
+    engine = make_engine({"a": 100.0, "b": 20.0}, equal_split_rates)
+    engine.admit(1, ["a"])
+    engine.admit(2, ["a"])
+    engine.admit(3, ["a", "b"])
+    assert engine.solve() == {1: 100.0 / 3, 2: 100.0 / 3, 3: 20.0}
+    assert engine.stats.flows_solved == 3
 
 
 # ----------------------------------------------------------------------
@@ -183,15 +177,6 @@ def flow_graphs(draw):
         for _ in range(n_flows)
     ]
     return flow_links, capacities, caps
-
-
-@settings(max_examples=150, deadline=None)
-@given(problem=flow_graphs())
-def test_wrapper_differential_random_graphs(problem):
-    flow_links, capacities, caps = problem
-    got = incremental_max_min_rates(flow_links, capacities, caps)
-    expected = max_min_fair_rates(flow_links, capacities, caps)
-    assert all(close(g, e) for g, e in zip(got, expected))
 
 
 @st.composite

@@ -1,14 +1,14 @@
-"""Three-way differential tests: oracle vs incremental vs vectorized.
+"""Differential tests: the dense kernel and its engine against the oracle.
 
-The vectorized kernel's contract (see ``docs/PERF.md``):
+The kernel's contract (see ``docs/PERF.md``):
 
 * same validation errors as :func:`max_min_fair_rates`;
-* rates within 1e-9 relative of both the oracle and the incremental
-  engine across capacities spanning 1e-12..1e6, flow caps, single-flow
-  links, and arbitrary admit/drain interleavings;
-* identical makespans end-to-end — selecting ``"vectorized"`` changes
-  wall time, never the event stream (two identical runs and a
-  serial-vs-parallel sweep must agree exactly).
+* rates within 1e-9 relative of the oracle, whether called statelessly
+  or through the dirty-component engine, across capacities spanning
+  1e-12..1e6, flow caps, single-flow links, and arbitrary admit/drain
+  interleavings;
+* a deterministic event stream end to end: two identical runs and a
+  serial-vs-parallel sweep must agree exactly.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from hypothesis import strategies as st
 from repro.network.fairshare import max_min_fair_rates
 from repro.perf import (
     FlowSlots,
-    IncrementalMaxMin,
     VectorizedMaxMin,
-    incremental_max_min_rates,
     static_capacity,
     vectorized_max_min_rates,
 )
@@ -105,7 +103,7 @@ def test_wide_problem_uses_dense_path():
 
 
 # ----------------------------------------------------------------------
-# Stateful engine: bookkeeping parity with IncrementalMaxMin
+# Stateful engine: bookkeeping
 # ----------------------------------------------------------------------
 def test_admit_drain_bookkeeping():
     engine = make_engine({"l": 100.0})
@@ -155,7 +153,7 @@ def test_solve_without_dirt_is_a_noop():
 
 def test_group_granularity_stats():
     # 8 identical flows are one group: a solve touches 1 link but
-    # reports 8 flows solved (stats stay comparable with incremental).
+    # reports 8 flows solved (stats count flows, not groups).
     engine = make_engine({"l": 100.0})
     for fid in range(8):
         engine.admit(fid, ["l"])
@@ -191,7 +189,7 @@ def test_full_solve_counted_only_when_component_spans_graph():
 
 
 # ----------------------------------------------------------------------
-# Randomized three-way differential suite
+# Randomized differential suite
 # ----------------------------------------------------------------------
 LINKS = ("l0", "l1", "l2", "l3", "l4", "l5")
 
@@ -220,13 +218,17 @@ def flow_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(problem=flow_graphs())
 def test_three_way_differential_random_graphs(problem):
+    """Oracle, stateless kernel and engine agree on every rate."""
     flow_links, capacities, caps = problem
     oracle = max_min_fair_rates(flow_links, capacities, caps)
-    incremental = incremental_max_min_rates(flow_links, capacities, caps)
     vectorized = vectorized_max_min_rates(flow_links, capacities, caps)
-    for o, i, v in zip(oracle, incremental, vectorized):
+    engine = make_engine(capacities)
+    for fid, (links, cap) in enumerate(zip(flow_links, caps)):
+        engine.admit(fid, links, cap)
+    engine.solve()
+    for fid, (o, v) in enumerate(zip(oracle, vectorized)):
         assert close(v, o), (v, o)
-        assert close(v, i), (v, i)
+        assert engine.rate(fid) == v
 
 
 @st.composite
@@ -260,25 +262,26 @@ def admit_drain_sequences(draw):
 @settings(max_examples=100, deadline=None)
 @given(problem=admit_drain_sequences())
 def test_engine_differential_admit_drain(problem):
-    """After every op, both engines equal a from-scratch global solve."""
+    """After every op, the engine equals a from-scratch global solve,
+    with the kernel or the oracle as its component solver."""
     capacities, ops = problem
     vec = make_engine(capacities)
-    inc = IncrementalMaxMin(static_capacity(capacities))
+    oracle_engine = VectorizedMaxMin(static_capacity(capacities), max_min_fair_rates)
     reference: dict[int, tuple] = {}
     reference_caps: dict[int, float] = {}
     for op, fid, links, cap in ops:
         if op == "admit":
             vec.admit(fid, links, cap)
-            inc.admit(fid, links, cap)
+            oracle_engine.admit(fid, links, cap)
             reference[fid] = tuple(links)
             reference_caps[fid] = cap
         else:
             vec.drain(fid)
-            inc.drain(fid)
+            oracle_engine.drain(fid)
             del reference[fid]
             del reference_caps[fid]
         vec.solve()
-        inc.solve()
+        oracle_engine.solve()
         if not reference:
             assert vec.rates == {}
             continue
@@ -290,7 +293,8 @@ def test_engine_differential_admit_drain(problem):
         )
         for f, e in zip(fids, expected):
             assert close(vec.rate(f), e), (f, vec.rate(f), e)
-            assert close(vec.rate(f), inc.rate(f)) or close(inc.rate(f), e)
+            via_oracle = oracle_engine.rate(f)
+            assert close(vec.rate(f), via_oracle) or close(via_oracle, e)
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +372,7 @@ def test_zero_byte_transfer_completes_under_vectorized():
     from repro.network.flownet import Link
 
     env = Environment()
-    net = FlowNetwork(env, allocator="vectorized")
+    net = FlowNetwork(env)
     done = net.transfer(0.0, [Link("l", bandwidth=100.0)])
     env.run(until=done)
     assert done.processed
@@ -389,12 +393,17 @@ def _tiny_genomes(allocator):
     ).makespan
 
 
+#: ``_tiny_genomes`` makespan recorded from the global oracle path the
+#: flow network used to run by default.
+TINY_GENOMES_ORACLE_PATH_MAKESPAN = 166.64084210526318
+
+
 def test_vectorized_run_is_deterministic_and_matches_other_allocators():
-    first = _tiny_genomes("vectorized")
-    second = _tiny_genomes("vectorized")
+    first = _tiny_genomes("max-min")
+    second = _tiny_genomes("max-min")
     assert first == second  # bit-identical event stream across runs
-    assert first == _tiny_genomes("incremental")
-    assert first == _tiny_genomes("max-min")
+    assert first == _tiny_genomes(max_min_fair_rates)
+    assert first == TINY_GENOMES_ORACLE_PATH_MAKESPAN
 
 
 def test_vectorized_sweep_identical_serial_and_parallel():
@@ -404,11 +413,7 @@ def test_vectorized_sweep_identical_serial_and_parallel():
         "fig13",
         "repro.experiments.fig13:compute_point",
         axes={"fraction": [0.0, 0.5, 1.0]},
-        constants={
-            "system": "cori",
-            "n_chromosomes": 2,
-            "network_allocator": "vectorized",
-        },
+        constants={"system": "cori", "n_chromosomes": 2},
     )
     serial = run_sweep(spec, workers=1)
     parallel = run_sweep(spec, workers=4)

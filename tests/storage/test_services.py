@@ -268,3 +268,62 @@ def test_onnode_bb_faster_than_pfs(summit):
 
     env.run(until=env.process(proc(env)))
     assert t["bb"] < t["pfs"] / 10
+
+
+# ----------------------------------------------------------------------
+# Occupancy counter
+# ----------------------------------------------------------------------
+def test_used_counter_frees_on_delete(cori):
+    _, plat = cori
+    pfs = ParallelFileSystem(plat)
+    a, b = File("a", 3.0), File("b", 5.0)
+    pfs.add_file(a)
+    pfs.add_file(b)
+    pfs.add_file(a)  # already present: no double count
+    assert pfs.used == 8.0
+    pfs.delete(a)
+    pfs.delete(a)  # absent: no-op
+    assert pfs.used == 5.0
+    pfs.delete(b)
+    assert pfs.used == 0.0
+
+
+def _stock_scenarios():
+    """The stock scenarios that store files (the contended scenario
+    only provisions granules)."""
+    from repro.scenarios import run_genomes, run_swarp
+
+    return {
+        "swarp": lambda: run_swarp(n_pipelines=4),
+        "swarp-emulated": lambda: run_swarp(n_pipelines=2, emulated=True, seed=1),
+        "genomes": lambda: run_genomes(n_chromosomes=2, n_compute=2),
+    }
+
+
+@pytest.mark.parametrize("scenario", sorted(_stock_scenarios()))
+def test_used_counter_matches_resummation_on_stock_scenarios(
+    scenario, monkeypatch
+):
+    """After every add, write and delete, the running counter equals a
+    fresh sum over the content table."""
+    from repro.storage.base import StorageService
+
+    checks = []
+
+    def checked(method):
+        def wrapper(self, *args, **kwargs):
+            result = method(self, *args, **kwargs)
+            resummed = sum(f.size for f in self._contents.values())
+            checks.append((self.name, method.__name__, self.used, resummed))
+            return result
+
+        return wrapper
+
+    for name in ("add_file", "write", "delete"):
+        monkeypatch.setattr(
+            StorageService, name, checked(getattr(StorageService, name))
+        )
+    _stock_scenarios()[scenario]()
+    assert {op for _, op, _, _ in checks} >= {"add_file", "write"}
+    mismatches = [c for c in checks if c[2] != c[3]]
+    assert not mismatches, mismatches[:5]

@@ -51,9 +51,9 @@ def test_simulate_accepts_config_mapping(platform, workflow):
     result = repro.simulate(
         platform,
         workflow,
-        config={"network_allocator": "incremental", "input_fraction": 1.0},
+        config={"network_allocator": "equal-split", "input_fraction": 1.0},
     )
-    assert result.config.network_allocator == "incremental"
+    assert result.config.network_allocator == "equal-split"
     assert result.makespan == default.makespan
 
 

@@ -74,7 +74,7 @@ def test_from_any_mapping_mixes_model_and_obs_keys():
 
 def test_from_any_rejects_unknown_keys():
     with pytest.raises(TypeError, match="unknown config keys: allocator"):
-        Config.from_any({"allocator": "vectorized"})
+        Config.from_any({"allocator": "equal-split"})
 
 
 def test_from_any_rejects_unsupported_types():
@@ -84,9 +84,9 @@ def test_from_any_rejects_unsupported_types():
 
 def test_from_any_reads_json_file(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"network_allocator": "vectorized"}))
+    path.write_text(json.dumps({"network_allocator": "equal-split"}))
     cfg = Config.from_any(path)
-    assert cfg.network_allocator == "vectorized"
+    assert cfg.network_allocator == "equal-split"
     # str paths work too (the CLI hands them over untouched).
     assert Config.from_any(str(path)) == cfg
 
@@ -112,8 +112,8 @@ def test_config_rejects_unknown_queue_policy():
 
 def test_replace_returns_modified_copy():
     base = Config()
-    changed = base.replace(network_allocator="vectorized")
-    assert changed.network_allocator == "vectorized"
+    changed = base.replace(network_allocator="equal-split")
+    assert changed.network_allocator == "equal-split"
     assert base.network_allocator == DEFAULT_ALLOCATOR
     assert changed is not base
 
@@ -125,7 +125,7 @@ def test_to_doc_from_doc_round_trip():
     cfg = Config(
         bb_mode=BBMode.PRIVATE,
         input_fraction=0.5,
-        network_allocator="vectorized",
+        network_allocator="equal-split",
         metrics=("network", "des"),
         monitors=True,
         obs_dir="/tmp/obs",
@@ -175,9 +175,9 @@ def test_make_observer_builds_observer_with_bus(tmp_path):
 # ----------------------------------------------------------------------
 def test_simulate_accepts_config_v2(platform, workflow):
     result = repro.simulate(
-        platform, workflow, config=Config(network_allocator="vectorized")
+        platform, workflow, config=Config(network_allocator="equal-split")
     )
-    assert result.config.network_allocator == "vectorized"
+    assert result.config.network_allocator == "equal-split"
     assert result.makespan > 0
 
 
@@ -190,8 +190,8 @@ def test_simulate_config_observability_switches_imply_observer(
 
 def test_simulate_allocator_kwarg_deprecated(platform, workflow):
     with pytest.warns(DeprecationWarning, match="allocator"):
-        result = repro.simulate(platform, workflow, allocator="incremental")
-    assert result.config.network_allocator == "incremental"
+        result = repro.simulate(platform, workflow, allocator="equal-split")
+    assert result.config.network_allocator == "equal-split"
 
 
 def test_simulate_policy_kwarg_deprecated(platform, workflow):
@@ -267,11 +267,12 @@ def test_configless_manifest_keeps_v1_schema():
 # Cache-key neutrality (warm caches survive the v2 migration)
 # ----------------------------------------------------------------------
 def test_fig13_cache_key_unchanged_by_config_v2():
-    """The content address of a historical fig13 point is pinned.
+    """The content address of a fig13 point is pinned.
 
-    A warm sweep cache written before the Config v2 migration must stay
-    valid: the key document still carries the v1 manifest schema (no
-    config section) and hashes to the exact pre-migration digest.
+    The Config v2 migration left the key document alone: it still
+    carries the v1 manifest schema (no config section).  Only the sweep's
+    code-version salt moves the key; version 2 retires points cached
+    before the dense flow engine, which moved some values by 1 ulp.
     """
     from repro.experiments.fig13 import sweep_spec
     from repro.sweep.cache import point_key, point_key_doc
@@ -287,11 +288,11 @@ def test_fig13_cache_key_unchanged_by_config_v2():
         "sweep": {
             "func": "repro.experiments.fig13:compute_point",
             "sweep_id": "fig13",
-            "version": 1,
+            "version": 2,
         },
     }
     assert point_key(spec, params) == (
-        "1f3bec07c6dc1863df36d2f0c05312f9faa7a06dbd00b6d94640e40c5b55fc84"
+        "ce18d379765a2f92015a1853052fcd17a8abd752f5b36147157c0d61d2e0c820"
     )
 
 
@@ -301,16 +302,16 @@ def test_non_default_allocator_changes_the_cache_key():
 
     default_spec = sweep_spec(quick=False)
     vec_spec = sweep_spec(
-        quick=False, config=Config(network_allocator="vectorized")
+        quick=False, config=Config(network_allocator="equal-split")
     )
     base = {"system": "cori", "fraction": 0.5, "n_chromosomes": 6}
     assert all(
         "network_allocator" not in params for params in default_spec.points
     )
     assert all(
-        params["network_allocator"] == "vectorized"
+        params["network_allocator"] == "equal-split"
         for params in vec_spec.points
     )
     assert point_key(default_spec, base) != point_key(
-        vec_spec, {**base, "network_allocator": "vectorized"}
+        vec_spec, {**base, "network_allocator": "equal-split"}
     )

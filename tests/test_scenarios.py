@@ -277,3 +277,41 @@ def test_more_bb_nodes_lift_cori_saturation():
         n_bb_nodes=4,
     ).makespan
     assert four < one
+
+
+# ----------------------------------------------------------------------
+# Process hygiene
+# ----------------------------------------------------------------------
+def test_importing_scenarios_does_not_load_scipy():
+    """No simulation fits anything, so scipy loads only with the fit."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro.scenarios; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_finished_run_leaves_no_flow_in_cyclic_garbage():
+    """A completed transfer is freed by reference counting: no Flow
+    should wait for the cycle collector after a run."""
+    import gc
+
+    from repro.network import Flow
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_swarp(n_pipelines=2)
+        gc.collect()
+        cyclic_flows = [o for o in gc.garbage if isinstance(o, Flow)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert cyclic_flows == []

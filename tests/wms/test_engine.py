@@ -213,6 +213,7 @@ def test_eviction_frees_bb_space():
     bb = engine._bb_service("cn0")
     assert not bb.contains(File("mid", 100 * MB))  # consumed by b, evicted
     assert bb.contains(File("out", 100 * MB))      # never consumed, kept
+    assert bb.used == 100 * MB                      # only "out" occupies it
 
 
 def test_trace_events_emitted():
