@@ -24,7 +24,7 @@ def main() -> None:
     print(f"striped (defaults):        makespan {result.makespan:7.2f}s  "
           f"{len(result.trace.events)} events")
 
-    # Any SimulatorConfig field can be given as a plain mapping; string
+    # Any repro.Config field can be given as a plain mapping; string
     # forms are accepted ("private" instead of BBMode.PRIVATE).
     result = repro.simulate(platform, workflow,
                             config={"bb_mode": "private",

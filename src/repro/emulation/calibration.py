@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from repro.platform.presets import TABLE_I
 from repro.platform.units import MB
 from repro.storage.base import ServiceLatencies
+from repro.storage.burst_buffer import BBMode
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,13 @@ class EmulationEffects:
     striped_anomaly_low: float = 0.70
     striped_anomaly_high: float = 0.85
     striped_anomaly_factor: float = 2.0
+
+    def bb_tier(self, mode: "BBMode | None") -> TierEffects:
+        """The tier of a shared BB allocation in ``mode``; ``None`` is
+        the on-node BB."""
+        if mode is None:
+            return self.bb_onnode
+        return self.bb_private if mode == BBMode.PRIVATE else self.bb_striped
 
 
 #: Cori (shared BB).  Tier constants encode, in order: private-mode BB

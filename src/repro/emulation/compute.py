@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.compute.service import ComputeService
-from repro.emulation.calibration import EmulatedTaskTruth, EmulationEffects
+from repro.emulation.calibration import SWARP_TRUTH, EmulationEffects
 from repro.model.equations import amdahl_time
 from repro.platform.runtime import Platform
 from repro.workflow.model import Task
@@ -16,8 +16,9 @@ class EmulatedComputeService(ComputeService):
 
     Differences from the plain service:
 
-    * tasks run with their *true* Amdahl alpha (from the per-group truth
-      table), not the paper's perfect-speedup assumption;
+    * tasks run with their *true* Amdahl alpha (from the per-group
+      :data:`~repro.emulation.calibration.SWARP_TRUTH` table, else their
+      own), not the paper's perfect-speedup assumption;
     * beyond-8-cores degradation for Resample-like tasks (Figure 6);
     * memory-bandwidth interference: compute slows by
       ``1 + c × other_busy_cores`` on the host (drives Figure 7's
@@ -29,20 +30,21 @@ class EmulatedComputeService(ComputeService):
         platform: Platform,
         hosts: Optional[list[str]] = None,
         effects: Optional[EmulationEffects] = None,
-        truth: Optional[Mapping[str, EmulatedTaskTruth]] = None,
+        queue_policy: "str | object | None" = None,
     ) -> None:
-        super().__init__(platform, hosts, use_amdahl_alpha=True)
+        super().__init__(
+            platform, hosts, use_amdahl_alpha=True, queue_policy=queue_policy
+        )
         if effects is None:
             raise ValueError("EmulatedComputeService requires effects")
         self.effects = effects
-        self.truth = dict(truth or {})
 
     def compute_time(self, task: Task, host: str, cores: Optional[int] = None) -> float:
         p = cores if cores is not None else task.cores
         p = min(p, self.allocator(host).total_cores)
         speed = self.platform.host(host).core_speed
 
-        truth = self.truth.get(task.group)
+        truth = SWARP_TRUTH.get(task.group)
         if truth is not None:
             tc1 = truth.flops() / speed
             alpha = truth.alpha

@@ -2,8 +2,9 @@
 
 The simulator's validation story (Figures 10–14) assumes that the same
 scenario + seed always yields the same trace.  Wall-clock reads, the
-process-global RNG, and hash-order iteration all break that silently:
-no test fails, the numbers are just no longer reproducible.
+process-global RNG, hash-order iteration and builtin ``hash()`` values
+all break that silently: no test fails, the numbers are just no longer
+reproducible.
 """
 
 from __future__ import annotations
@@ -137,25 +138,52 @@ def _is_dict_view(node: ast.AST) -> bool:
     )
 
 
+def _hash_calls(tree: ast.AST) -> Iterator[ast.Call]:
+    """Builtin ``hash()`` calls outside a ``__hash__`` method."""
+    exempt = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and func.name == "__hash__"
+        for node in ast.walk(func)
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "hash"
+            and id(node) not in exempt
+        ):
+            yield node
+
+
 @register
 class NoUnorderedIteration(Rule):
-    """SIM003: no hash-ordered iteration feeding scheduling decisions."""
+    """SIM003: no hash-seed-dependent order or value in simulation code."""
 
     id = "SIM003"
-    summary = "iteration order depends on set hashing / insertion order"
+    summary = "iteration order or value depends on string hashing"
     rationale = (
         "In wms/ and des/, loop order decides event tie-breaks (which "
         "ready task starts first).  Sets of strings iterate in "
         "PYTHONHASHSEED-dependent order, and min/max over dict views "
-        "break ties by insertion position."
+        "break ties by insertion position.  Anywhere, builtin hash() of "
+        "a string changes with PYTHONHASHSEED, so a placement keyed on "
+        "it changes from one process to the next."
     )
     severity = Severity.WARNING
-    fix_hint = "iterate sorted(...) with an explicit key, or justify with a pragma"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.in_package_dir("wms/", "des/")
+    fix_hint = (
+        "iterate sorted(...) with an explicit key; key placements on a "
+        "stable checksum such as zlib.adler32; or justify with a pragma"
+    )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        for node in _hash_calls(ctx.tree):
+            yield self.diagnostic(
+                ctx, node, "builtin hash() varies with PYTHONHASHSEED"
+            )
+        if not ctx.in_package_dir("wms/", "des/"):
+            return
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 if _is_set_expr(node.iter):

@@ -48,7 +48,7 @@ class NoDirectFairShareCalls(Rule):
     rationale = (
         "Calling max_min_fair_rates directly hard-codes one bandwidth-"
         "sharing discipline: the run can no longer be switched to "
-        "equal-split from a SimulatorConfig, a sweep point, or "
+        "equal-split from a Config, a sweep point, or "
         "--network-allocator; the call bypasses the dense max-min "
         "kernel the registry resolves \"max-min\" to, and it is "
         "invisible to the network.solver_calls telemetry.  Rates belong "

@@ -1,8 +1,9 @@
 """High-level scenario builders — the library's main entry points.
 
-Each function assembles a platform, storage services, compute service,
-workflow, and engine for one of the paper's experimental configurations
-and runs it to completion:
+Each builder describes one of the paper's experimental configurations —
+a platform, a workflow, a :class:`~repro.config.Config` (BB mode and
+placement fractions) and its engine extras — and hands them to
+:func:`repro.simulator.run_workflow`, which assembles and runs it:
 
 * :func:`run_swarp` — the SWarp characterization scenarios of
   Section III (Figures 4–9) and their simulated counterparts
@@ -19,40 +20,23 @@ the high-fidelity emulator standing in for the real Cori/Summit runs
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro import des
 from repro.compute import ComputeService
+from repro.config import Config
+from repro.network import DEFAULT_ALLOCATOR
 from repro.obs import Observer
-from repro.emulation.calibration import (
-    EmulationEffects,
-    SWARP_TRUTH,
-    TierEffects,
-    effects_for,
-    tier_latencies,
-)
-from repro.emulation.compute import EmulatedComputeService
+from repro.emulation.calibration import EmulationEffects, effects_for
 from repro.emulation.trials import interference_factor
-from repro.platform import Platform, PlatformSpec
-from repro.platform.presets import (
-    BB_DISK,
-    bb_node_names,
-    compute_node_names,
-    cori_spec,
-    local_bb_host,
-    summit_spec,
-)
-from repro.storage import (
-    BBMode,
-    OnNodeBurstBuffer,
-    ParallelFileSystem,
-    SharedBurstBuffer,
-    StorageService,
-)
+from repro.platform import HostRole, Platform, PlatformSpec
+from repro.platform.presets import compute_node_names, cori_spec, summit_spec
+from repro.simulator import ScenarioResult, run_workflow
+from repro.storage import BBMode
 from repro.traces.events import ExecutionTrace
-from repro.wms import EngineConfig, FractionPlacement, WorkflowEngine
+from repro.wms import EngineConfig
 from repro.workflow.genomes import make_1000genomes
 from repro.workflow.model import Workflow
 from repro.workflow.swarp import make_swarp
@@ -60,109 +44,81 @@ from repro.workflow.swarp import make_swarp
 SYSTEMS = ("cori", "summit")
 
 
-@dataclass
-class ScenarioResult:
-    """Everything a harness needs from one simulated execution.
-
-    ``engine``/``workflow`` are ``None`` for scenarios that drive the
-    allocators directly instead of executing a workflow DAG (the
-    contended multi-job BB scenario).
-    """
-
-    trace: ExecutionTrace
-    platform: Platform
-    engine: Optional[WorkflowEngine]
-    workflow: Optional[Workflow]
-
-    @property
-    def makespan(self) -> float:
-        return self.trace.makespan
-
-    def mean_duration(self, group: str) -> float:
-        return self.trace.group_mean_duration(group)
-
-    @property
-    def pipeline_makespan(self) -> float:
-        """Makespan of the compute pipelines, excluding stage-in.
-
-        Figures 5, 10, and 11 report task/pipeline times with staging
-        done beforehand; this is the matching quantity.
-        """
-        records = [
-            r
-            for r in self.trace.records.values()
-            if r.group not in ("stage_in",)
-        ]
-        if not records:
-            return 0.0
-        start = min(r.start for r in records)
-        end = max(r.end for r in records)
-        return end - start
+def _emulation(
+    system: str,
+    emulated: bool,
+    seed: Optional[int],
+    effects: Optional[EmulationEffects],
+) -> tuple[Optional[EmulationEffects], Optional[np.random.Generator]]:
+    """The run's emulated effects (``None`` = simple model) and trial RNG."""
+    if system not in SYSTEMS:
+        raise ValueError(f"system must be one of {SYSTEMS}, got {system!r}")
+    if not emulated:
+        return None, None
+    rng = np.random.default_rng(seed) if seed is not None else None
+    return effects or effects_for(system), rng
 
 
-def _tune_uplinks(
-    spec: PlatformSpec,
-    suffixes: tuple[str, ...],
-    penalty: float,
-    bandwidth_scale: float = 1.0,
+def _emulated_platform(
+    system: str,
+    n_compute: int,
+    n_bb_nodes: int,
+    bb_mode: BBMode,
+    effects: Optional[EmulationEffects],
+    rng: Optional[np.random.Generator],
 ) -> PlatformSpec:
-    """Apply a concurrency penalty and/or bandwidth scaling to BB uplinks.
+    """The system's preset, with the emulated BB uplinks and PFS speed.
 
-    ``bandwidth_scale`` carries the per-trial interference into the
-    links that actually bind under contention (per-service stream caps
-    rarely do when many flows share an uplink).
+    The BB uplinks (Cori's BB network, Summit's PCIe) take the
+    concurrency penalty plus one trial's interference — the first draw
+    from ``rng`` — so it reaches the links that bind under contention
+    (per-service stream caps rarely do when many flows share an
+    uplink).  The PFS disk takes the emulated effective bandwidth.
     """
-    if penalty <= 0 and bandwidth_scale == 1.0:
-        return spec
-    links = tuple(
-        replace(
-            l,
-            concurrency_penalty=max(l.concurrency_penalty, penalty),
-            bandwidth=l.bandwidth * bandwidth_scale,
-        )
-        if l.name.endswith(suffixes)
-        else l
-        for l in spec.links
+    cori = system == "cori"
+    spec = (
+        cori_spec(n_compute=n_compute, n_bb_nodes=n_bb_nodes)
+        if cori
+        else summit_spec(n_compute=n_compute)
     )
-    return replace(spec, links=links)
-
-
-def _noisy_tier(tier: TierEffects, rng: Optional[np.random.Generator]) -> TierEffects:
-    """Apply one trial's interference to a tier's knobs."""
-    if rng is None:
-        return tier
-    factor = interference_factor(rng, tier.interference_sigma)
-    return replace(
-        tier,
-        read_latency=tier.read_latency * factor,
-        write_latency=tier.write_latency * factor,
-        stream_cap=tier.stream_cap / factor,
-        metadata_service_time=tier.metadata_service_time * factor,
-    )
-
-
-def _override_pfs_disk(spec: PlatformSpec, bandwidth: Optional[float]) -> PlatformSpec:
-    """Replace the PFS disk bandwidth (emulated effective PFS speed)."""
-    if bandwidth is None:
+    if effects is None:
         return spec
-    hosts = tuple(
-        replace(
-            h,
-            disks=tuple(
-                replace(d, read_bandwidth=bandwidth, write_bandwidth=bandwidth)
-                for d in h.disks
+    suffix = "-bbnet" if cori else "-pcie"
+    sigma = effects.bb_tier(bb_mode if cori else None).interference_sigma
+    scale = 1.0 / interference_factor(rng, sigma) if rng is not None else 1.0
+    penalty = effects.bb_uplink_concurrency_penalty
+    if penalty > 0 or scale != 1.0:
+        spec = replace(
+            spec,
+            links=tuple(
+                replace(
+                    l,
+                    concurrency_penalty=max(l.concurrency_penalty, penalty),
+                    bandwidth=l.bandwidth * scale,
+                )
+                if l.name.endswith(suffix)
+                else l
+                for l in spec.links
             ),
         )
-        if h.name == "pfs"
-        else h
-        for h in spec.hosts
+    bandwidth = effects.pfs_disk_bandwidth
+    if bandwidth is None:
+        return spec
+    return replace(
+        spec,
+        hosts=tuple(
+            replace(
+                h,
+                disks=tuple(
+                    replace(d, read_bandwidth=bandwidth, write_bandwidth=bandwidth)
+                    for d in h.disks
+                ),
+            )
+            if h.role is HostRole.PFS
+            else h
+            for h in spec.hosts
+        ),
     )
-    return replace(spec, hosts=hosts)
-
-
-def _validate_fraction(name: str, value: float) -> None:
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 # ----------------------------------------------------------------------
@@ -196,118 +152,8 @@ def run_swarp(
     ``network_allocator`` names the bandwidth-sharing discipline
     (``None`` keeps the default max-min model).
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"system must be one of {SYSTEMS}, got {system!r}")
-    _validate_fraction("input_fraction", input_fraction)
-
-    env = des.Environment()
-    if observer is not None:
-        observer.attach(env)
-    if not emulated:
-        effects = None
-    elif effects is None:
-        effects = effects_for(system)
-    rng = np.random.default_rng(seed) if (emulated and seed is not None) else None
-
-    # --- platform ------------------------------------------------------
-    if system == "cori":
-        spec = cori_spec(n_compute=1, n_bb_nodes=n_bb_nodes)
-        suffixes = ("-bbnet",)
-        bb_sigma = (
-            effects.bb_private.interference_sigma
-            if effects and bb_mode == BBMode.PRIVATE
-            else effects.bb_striped.interference_sigma
-            if effects
-            else 0.0
-        )
-    else:
-        spec = summit_spec(n_compute=1)
-        suffixes = ("-pcie",)
-        bb_sigma = effects.bb_onnode.interference_sigma if effects else 0.0
-    if effects:
-        uplink_scale = (
-            1.0 / interference_factor(rng, bb_sigma) if rng is not None else 1.0
-        )
-        spec = _tune_uplinks(
-            spec,
-            suffixes,
-            effects.bb_uplink_concurrency_penalty,
-            bandwidth_scale=uplink_scale,
-        )
-        spec = _override_pfs_disk(spec, effects.pfs_disk_bandwidth)
-    platform = Platform(env, spec, allocator=network_allocator)
-
-    # --- storage services ----------------------------------------------
-    if effects:
-        pfs_tier = _noisy_tier(effects.pfs, rng)
-        pfs = ParallelFileSystem(
-            platform,
-            latencies=tier_latencies(pfs_tier),
-            max_stream_rate=pfs_tier.stream_cap,
-            metadata_service_time=pfs_tier.metadata_service_time,
-        )
-    else:
-        pfs = ParallelFileSystem(platform)
-
-    stage_extra_latency = 0.0
-    if system == "cori":
-        if effects:
-            tier = (
-                effects.bb_private
-                if bb_mode == BBMode.PRIVATE
-                else effects.bb_striped
-            )
-            tier = _noisy_tier(tier, rng)
-            per_stripe = effects.per_stripe_latency
-            if (
-                bb_mode == BBMode.STRIPED
-                and effects.striped_anomaly_low
-                <= input_fraction
-                < effects.striped_anomaly_high
-            ):
-                # The reproducible Figure 4 anomaly: staging into a
-                # striped allocation degrades in this fraction band.
-                stage_extra_latency = (
-                    tier.write_latency + tier.metadata_service_time + per_stripe
-                ) * (effects.striped_anomaly_factor - 1.0)
-            bb = SharedBurstBuffer(
-                platform,
-                bb_node_names(n_bb_nodes),
-                bb_mode,
-                owner_host="cn0" if bb_mode == BBMode.PRIVATE else None,
-                latencies=tier_latencies(tier),
-                per_stripe_latency=per_stripe,
-                max_stream_rate=tier.stream_cap,
-                metadata_service_time=tier.metadata_service_time,
-            )
-        else:
-            bb = SharedBurstBuffer(
-                platform,
-                bb_node_names(n_bb_nodes),
-                bb_mode,
-                owner_host="cn0" if bb_mode == BBMode.PRIVATE else None,
-            )
-    else:
-        if effects:
-            tier = _noisy_tier(effects.bb_onnode, rng)
-            bb = OnNodeBurstBuffer(
-                platform,
-                local_bb_host("cn0"),
-                latencies=tier_latencies(tier),
-                max_stream_rate=tier.stream_cap,
-            )
-        else:
-            bb = OnNodeBurstBuffer(platform, local_bb_host("cn0"))
-
-    # --- compute ---------------------------------------------------------
-    if effects:
-        compute: ComputeService = EmulatedComputeService(
-            platform, ["cn0"], effects=effects, truth=SWARP_TRUTH
-        )
-    else:
-        compute = ComputeService(platform, ["cn0"])
-
-    # --- workflow + engine ----------------------------------------------
+    effects, rng = _emulation(system, emulated, seed, effects)
+    spec = _emulated_platform(system, 1, n_bb_nodes, bb_mode, effects, rng)
     workflow = make_swarp(
         n_pipelines=n_pipelines,
         cores_per_task=cores_per_task,
@@ -315,27 +161,22 @@ def run_swarp(
     )
     if resample_flops is not None or combine_flops is not None:
         workflow = _override_swarp_flops(workflow, resample_flops, combine_flops)
-
-    placement = FractionPlacement(
+    config = Config(
+        bb_mode=bb_mode,
         input_fraction=input_fraction,
         intermediate_fraction=1.0 if intermediates_in_bb else 0.0,
         output_fraction=1.0 if outputs_in_bb else 0.0,
+        network_allocator=network_allocator or DEFAULT_ALLOCATOR,
     )
-    engine = WorkflowEngine(
-        platform,
+    return run_workflow(
+        spec,
         workflow,
-        compute,
-        pfs,
-        bb_for_host=lambda host: bb,
-        placement=placement,
-        host_assignment=lambda task: "cn0",
-        config=EngineConfig(
-            stage_extra_latency=stage_extra_latency,
-            stage_in_external=not emulated,
-        ),
+        config,
+        observer=observer,
+        effects=effects,
+        rng=rng,
+        engine=EngineConfig(stage_in_external=not emulated),
     )
-    trace = engine.run()
-    return ScenarioResult(trace=trace, platform=platform, engine=engine, workflow=workflow)
 
 
 def _override_swarp_flops(
@@ -344,14 +185,12 @@ def _override_swarp_flops(
     combine_flops: Optional[float],
 ) -> Workflow:
     """Rebuild a SWarp workflow with calibrated task flops (Eq. 4 output)."""
-    from dataclasses import replace as dc_replace
-
     tasks = []
     for task in workflow:
         if task.group == "resample" and resample_flops is not None:
-            tasks.append(dc_replace(task, flops=resample_flops))
+            tasks.append(replace(task, flops=resample_flops))
         elif task.group == "combine" and combine_flops is not None:
-            tasks.append(dc_replace(task, flops=combine_flops))
+            tasks.append(replace(task, flops=combine_flops))
         else:
             tasks.append(task)
     return Workflow(workflow.name, tasks)
@@ -381,120 +220,33 @@ def run_genomes(
     Inputs are prestaged (the paper's case study does not charge
     staging time).
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"system must be one of {SYSTEMS}, got {system!r}")
-    _validate_fraction("input_fraction", input_fraction)
     if n_compute <= 0:
         raise ValueError("n_compute must be positive")
     if n_bb_nodes <= 0:
         raise ValueError("n_bb_nodes must be positive")
-
-    env = des.Environment()
-    if observer is not None:
-        observer.attach(env)
-    if not emulated:
-        effects = None
-    elif effects is None:
-        effects = effects_for(system)
-    rng = np.random.default_rng(seed) if (emulated and seed is not None) else None
-
-    if system == "cori":
-        spec = cori_spec(n_compute=n_compute, n_bb_nodes=n_bb_nodes)
-    else:
-        spec = summit_spec(n_compute=n_compute)
-    if effects:
-        suffix = ("-bbnet",) if system == "cori" else ("-pcie",)
-        sigma = (
-            effects.bb_striped.interference_sigma
-            if system == "cori"
-            else effects.bb_onnode.interference_sigma
-        )
-        uplink_scale = (
-            1.0 / interference_factor(rng, sigma) if rng is not None else 1.0
-        )
-        spec = _tune_uplinks(
-            spec,
-            suffix,
-            effects.bb_uplink_concurrency_penalty,
-            bandwidth_scale=uplink_scale,
-        )
-        spec = _override_pfs_disk(spec, effects.pfs_disk_bandwidth)
-    platform = Platform(env, spec, allocator=network_allocator)
-
-    if effects:
-        pfs_tier = _noisy_tier(effects.pfs, rng)
-        pfs = ParallelFileSystem(
-            platform,
-            latencies=tier_latencies(pfs_tier),
-            max_stream_rate=pfs_tier.stream_cap,
-            metadata_service_time=pfs_tier.metadata_service_time,
-        )
-    else:
-        pfs = ParallelFileSystem(platform)
-
-    hosts = compute_node_names(n_compute)
-    bb_services: dict[str, StorageService] = {}
-
-    if system == "cori":
-        if effects:
-            tier = _noisy_tier(effects.bb_striped, rng)
-            shared = SharedBurstBuffer(
-                platform,
-                bb_node_names(n_bb_nodes),
-                BBMode.STRIPED,
-                latencies=tier_latencies(tier),
-                per_stripe_latency=effects.per_stripe_latency,
-                max_stream_rate=tier.stream_cap,
-                metadata_service_time=tier.metadata_service_time,
-            )
-        else:
-            shared = SharedBurstBuffer(
-                platform, bb_node_names(n_bb_nodes), BBMode.STRIPED
-            )
-        bb_for_host: Callable[[str], StorageService] = lambda host: shared
-    else:
-        def bb_for_host(host: str) -> StorageService:
-            if host not in bb_services:
-                if effects:
-                    tier = _noisy_tier(effects.bb_onnode, rng)
-                    bb_services[host] = OnNodeBurstBuffer(
-                        platform,
-                        local_bb_host(host),
-                        latencies=tier_latencies(tier),
-                        max_stream_rate=tier.stream_cap,
-                    )
-                else:
-                    bb_services[host] = OnNodeBurstBuffer(
-                        platform, local_bb_host(host)
-                    )
-            return bb_services[host]
-
-    if effects:
-        compute: ComputeService = EmulatedComputeService(
-            platform, hosts, effects=effects, truth={}
-        )
-    else:
-        compute = ComputeService(platform, hosts)
-
+    effects, rng = _emulation(system, emulated, seed, effects)
+    spec = _emulated_platform(
+        system, n_compute, n_bb_nodes, BBMode.STRIPED, effects, rng
+    )
     workflow = make_1000genomes(
         n_chromosomes=n_chromosomes, cores_per_task=cores_per_task
     )
-    placement = FractionPlacement(
+    config = Config(
+        bb_mode=BBMode.STRIPED,
         input_fraction=input_fraction,
         intermediate_fraction=1.0,
         output_fraction=0.0,
+        network_allocator=network_allocator or DEFAULT_ALLOCATOR,
     )
-    engine = WorkflowEngine(
-        platform,
+    return run_workflow(
+        spec,
         workflow,
-        compute,
-        pfs,
-        bb_for_host=bb_for_host,
-        placement=placement,
-        config=EngineConfig(prestage_inputs=True),
+        config,
+        observer=observer,
+        effects=effects,
+        rng=rng,
+        engine=EngineConfig(prestage_inputs=True),
     )
-    trace = engine.run()
-    return ScenarioResult(trace=trace, platform=platform, engine=engine, workflow=workflow)
 
 
 # ----------------------------------------------------------------------

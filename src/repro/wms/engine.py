@@ -43,9 +43,6 @@ class EngineConfig:
     #: Stage BB-bound inputs instantly at t=0 when the workflow has no
     #: stage-in task (1000Genomes case-study semantics).
     prestage_inputs: bool = True
-    #: Honor per-task Amdahl alphas (False = the paper's headline
-    #: perfect-speedup assumption, Eq. 4).
-    use_amdahl_alpha: bool = False
     #: Delete intermediate files from the BB once all consumers finished
     #: (keeps capacity accounting honest on long workflows).
     evict_consumed_intermediates: bool = False
@@ -381,8 +378,6 @@ class WorkflowEngine:
             self.trace.log(self.env.now, "read_end", task.name)
 
             # --- compute phase -------------------------------------------
-            if self.config.use_amdahl_alpha:
-                self.compute.use_amdahl_alpha = True
             duration = self.compute.compute_time(task, host, allocation.cores)
             if duration > 0:
                 yield self.env.timeout(duration)

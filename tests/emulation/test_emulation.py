@@ -64,9 +64,7 @@ def test_truth_flops_scale_with_cori_speed():
 def emulated():
     env = des.Environment()
     plat = Platform(env, cori_spec())
-    svc = EmulatedComputeService(
-        plat, ["cn0"], effects=CORI_EFFECTS, truth=SWARP_TRUTH
-    )
+    svc = EmulatedComputeService(plat, ["cn0"], effects=CORI_EFFECTS)
     return env, svc
 
 

@@ -16,3 +16,7 @@ def next_task(queue):
 
 def busiest(load_by_host):
     return max({h for h in load_by_host})  # expect[SIM003]
+
+
+def private_node(owner, bb_hosts):
+    return bb_hosts[hash(owner) % len(bb_hosts)]  # expect[SIM003]

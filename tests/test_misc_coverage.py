@@ -108,10 +108,12 @@ def test_scenario_mean_duration_unknown_group():
 
 
 def test_simulator_config_defaults():
-    from repro.simulator import SimulatorConfig
+    from repro.platform.presets import cori_spec
+    from repro.simulator import Simulator
     from repro.storage import BBMode as Mode
+    from repro.workflow.swarp import make_swarp
 
-    config = SimulatorConfig()
+    config = Simulator(cori_spec(), make_swarp()).config
     assert config.bb_mode == Mode.STRIPED
     assert config.input_fraction == 1.0
     assert config.output_fraction == 0.0
