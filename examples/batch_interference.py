@@ -3,16 +3,16 @@
 
 The paper carefully *avoided* sharing interference ("we insure no other
 jobs are running concurrently on the same node"), yet identified it as
-the key source of variability on the shared BB architecture.  With the
-batch layer we can study exactly the scenario the authors had to dodge:
-two SWarp workflow jobs scheduled on separate nodes of one machine, both
-hammering the same shared burst buffer.
+the key source of variability on the shared BB architecture.  Here we
+study exactly the scenario the authors had to dodge: two SWarp workflow
+jobs on separate nodes of one machine, both hammering the same shared
+burst buffer — against the same two jobs run back to back, as the
+paper's node-exclusive Slurm/LSF allocations did.
 
 Run:  python examples/batch_interference.py
 """
 
 from repro import des
-from repro.batch import BatchScheduler, JobRequest
 from repro.compute import ComputeService
 from repro.platform import Platform
 from repro.platform.presets import bb_node_names, cori_spec
@@ -22,19 +22,14 @@ from repro.workflow.swarp import make_swarp
 
 
 def run_machine(concurrent: bool) -> dict[str, float]:
-    """Two 1-node SWarp jobs; concurrent or forced back-to-back."""
+    """Two 1-node SWarp jobs; side by side or back to back."""
     env = des.Environment()
     platform = Platform(env, cori_spec(n_compute=2, n_bb_nodes=1))
     pfs = ParallelFileSystem(platform)
     shared_bb = SharedBurstBuffer(platform, bb_node_names(1), BBMode.STRIPED)
-    # With 2 nodes, concurrent jobs coexist; requesting both nodes
-    # serializes them (the paper's exclusive-access methodology).
-    nodes_per_job = 1 if concurrent else 2
-    scheduler = BatchScheduler(env, ["cn0", "cn1"])
     runtimes: dict[str, float] = {}
 
-    def job_body(allocation):
-        host = allocation.nodes[0]
+    def job(name: str, host: str):
         engine = WorkflowEngine(
             platform,
             make_swarp(n_pipelines=4, cores_per_task=8, include_stage_in=False),
@@ -46,12 +41,18 @@ def run_machine(concurrent: bool) -> dict[str, float]:
         )
         start = env.now
         yield engine.start()
-        runtimes[allocation.job.name] = env.now - start
+        runtimes[name] = env.now - start
 
-    for name in ("job-A", "job-B"):
-        scheduler.submit(
-            JobRequest(name, n_nodes=nodes_per_job, walltime=10_000), job_body
-        )
+    if concurrent:
+        env.process(job("job-A", "cn0"))
+        env.process(job("job-B", "cn1"))
+    else:
+        # Exclusive access: job-B starts only once job-A has finished.
+        def back_to_back():
+            yield env.process(job("job-A", "cn0"))
+            yield env.process(job("job-B", "cn0"))
+
+        env.process(back_to_back())
     env.run()
     return runtimes
 

@@ -2,16 +2,15 @@
 
 The DES :class:`~repro.des.resources.Resource` grants one slot at a
 time; task execution needs *p cores at once*.  The allocator keeps a
-queue of (count, event) requests and grants according to a named
-:class:`~repro.wms.policies.QueuePolicy` — strict FIFO by default (no
-backfilling, matching the paper's single-node Slurm/LSF allocations),
-with EASY/conservative backfilling and plan-based scheduling available
-through the queue-policy registry.
+:class:`~repro.wms.policies.PolicyPool` of cores and grants according
+to a named :class:`~repro.wms.policies.QueuePolicy` — strict FIFO by
+default (no backfilling, matching the paper's single-node Slurm/LSF
+allocations), with EASY/conservative backfilling and plan-based
+scheduling available through the queue-policy registry.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +29,7 @@ class CoreAllocation:
     allocator: "CoreAllocator"
     cores: int
     released: bool = False
-    #: Key into the allocator's running-grant table (backfill policies
+    #: Key into the pool's running-grant table (backfill policies
     #: project release times from it); ``None`` for hand-built objects.
     grant_id: Optional[int] = None
 
@@ -49,11 +48,14 @@ class CoreAllocation:
 class CoreAllocator:
     """Policy-queued gang allocator over a host's cores.
 
-    ``label`` names the host in telemetry (busy-core and queue-depth
-    series); it has no scheduling effect.  ``policy`` is a queue-policy
-    registry name, a :class:`~repro.wms.policies.QueuePolicy`, or
-    ``None`` for the default (``fifo`` — the historical behaviour,
-    byte-identical).
+    A thin owner of a :class:`~repro.wms.policies.PolicyPool` whose
+    units are cores: the pool queues, grants and releases; the
+    allocator hands out :class:`CoreAllocation` payloads and reports
+    telemetry at its decision sites.  ``label`` names the host in
+    telemetry (busy-core and queue-depth series); it has no scheduling
+    effect.  ``policy`` is a queue-policy registry name, a
+    :class:`~repro.wms.policies.QueuePolicy`, or ``None`` for the
+    default (``fifo`` — the historical behaviour, byte-identical).
     """
 
     def __init__(
@@ -68,29 +70,31 @@ class CoreAllocator:
         # Lazy: importing repro.wms.policies at module level would pull
         # repro.wms.__init__ -> engine -> compute.service back into this
         # partially-initialized module.
-        from repro.wms.policies import resolve_policy
+        from repro.wms.policies import PolicyPool
 
         self.env = env
         self.total_cores = total_cores
         self.label = label
-        self.policy = resolve_policy(policy)
-        self._free = total_cores
-        self._queue: "deque" = deque()
-        #: grant_id -> RunningGrant, for backfill release projections.
-        self._running: dict[int, object] = {}
-        self._next_grant_id = 0
+        self.pool = PolicyPool(
+            env, total_cores, policy, self._grant_queued, "cores",
+            AllocationError,
+        )
+
+    @property
+    def policy(self):
+        return self.pool.policy
 
     @property
     def free_cores(self) -> int:
-        return self._free
+        return self.pool.free
 
     @property
     def used_cores(self) -> int:
-        return self.total_cores - self._free
+        return self.total_cores - self.pool.free
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        return len(self.pool.queue)
 
     def request(
         self, cores: int, task: str = "", estimate: Optional[float] = None
@@ -106,24 +110,7 @@ class CoreAllocator:
         use it to protect earlier requests' projected grant times; the
         default ``fifo`` policy ignores it.
         """
-        from repro.wms.policies import UNKNOWN, QueuedRequest
-
-        if cores <= 0:
-            raise ValueError("cores must be positive")
-        if cores > self.total_cores:
-            raise AllocationError(
-                f"requested {cores} cores but the host has {self.total_cores}"
-            )
-        event = self.env.event()
-        self._queue.append(
-            QueuedRequest(
-                amount=cores,
-                event=event,
-                tag=task,
-                estimate=UNKNOWN if estimate is None else float(estimate),
-            )
-        )
-        self._grant()
+        event = self.pool.enqueue(cores, task, estimate)
         self._notify()
         if not event.triggered:
             # The decision site for core waits: the request just queued
@@ -134,7 +121,7 @@ class CoreAllocator:
                 obs.log_event(
                     "compute", "cores_queued",
                     host=self.label, task=task, cores=cores,
-                    free=self._free, queue=len(self._queue),
+                    free=self.pool.free, queue=len(self.pool.queue),
                 )
         return event
 
@@ -149,77 +136,37 @@ class CoreAllocator:
         queued path.  Returns ``None`` when the claim cannot be granted
         in this instant.
         """
-        if cores <= 0:
-            raise ValueError("cores must be positive")
-        if self._queue or cores > self._free:
+        grant_id = self.pool.claim(cores, estimate)
+        if grant_id is None:
             return None
-        allocation = self._granted(cores, task, estimate)
-        obs = self.env.obs
-        if obs is not None:
-            obs.log_event(
-                "compute", "cores_granted",
-                host=self.label, task=task, cores=cores, free=self._free,
-            )
+        allocation = self._granted(cores, task, grant_id)
         self._notify()
         return allocation
 
     def _release(self, cores: int, grant_id: Optional[int] = None) -> None:
-        self._free += cores
-        if self._free > self.total_cores:
-            # A real raise, not an assert: this invariant (double
-            # release / foreign allocation) must survive ``python -O``.
-            raise AllocationError(
-                f"release of {cores} cores leaves {self._free} free on a "
-                f"{self.total_cores}-core host (double release?)"
-            )
-        if grant_id is not None:
-            self._running.pop(grant_id, None)
-        self._grant()
+        self.pool.release(cores, grant_id)
+        self.pool.dispatch()
         self._notify()
 
-    def _grant(self) -> None:
-        """Grant whatever the queue policy selects in this instant."""
-        if not self._queue:
-            return
-        picks = self.policy.select(
-            self._queue, self._free, self.env.now, list(self._running.values())
-        )
-        if not picks:
-            return
-        chosen = [self._queue[i] for i in picks]
-        for index in sorted(picks, reverse=True):
-            del self._queue[index]
-        for request in chosen:
-            allocation = self._granted(
-                request.amount, request.tag, request.estimate
+    def _grant_queued(self, request, grant_id: int) -> CoreAllocation:
+        """The pool's grant callback for a request that went through the
+        queue."""
+        obs = self.env.obs
+        if obs is not None:
+            # Closes the CORES interval opened when the request queued;
+            # a same-instant grant never opened one, and the observer
+            # ignores unmatched unblocks.
+            obs.on_task_unblocked(request.tag, WaitCause.CORES)
+        return self._granted(request.amount, request.tag, grant_id)
+
+    def _granted(self, cores: int, task: str, grant_id: int) -> CoreAllocation:
+        """Report a booked grant and build its payload."""
+        obs = self.env.obs
+        if obs is not None:
+            obs.log_event(
+                "compute", "cores_granted",
+                host=self.label, task=task, cores=cores, free=self.pool.free,
             )
-            obs = self.env.obs
-            if obs is not None:
-                # Closes the CORES interval opened when the request
-                # queued; a same-instant grant never opened one, and the
-                # observer ignores unmatched unblocks.
-                obs.on_task_unblocked(request.tag, WaitCause.CORES)
-                obs.log_event(
-                    "compute", "cores_granted",
-                    host=self.label, task=request.tag, cores=request.amount,
-                    free=self._free,
-                )
-            request.event.succeed(allocation)
-
-    def _granted(
-        self, cores: int, task: str, estimate: "Optional[float]"
-    ) -> CoreAllocation:
-        """Book a grant: decrement, record the running grant."""
-        from repro.wms.policies import UNKNOWN, RunningGrant
-
-        self._free -= cores
-        grant_id = self._next_grant_id
-        self._next_grant_id += 1
-        estimate = UNKNOWN if estimate is None else float(estimate)
-        deadline = (
-            self.env.now + estimate if estimate != UNKNOWN else UNKNOWN
-        )
-        self._running[grant_id] = RunningGrant(cores, deadline)
         return CoreAllocation(self, cores, grant_id=grant_id)
 
     def _notify(self) -> None:
@@ -227,5 +174,6 @@ class CoreAllocator:
         obs = self.env.obs
         if obs is not None:
             obs.on_core_allocation(
-                self.label, self.used_cores, self.total_cores, len(self._queue)
+                self.label, self.used_cores, self.total_cores,
+                len(self.pool.queue),
             )

@@ -106,7 +106,13 @@ _IMPURE_CALLS = frozenset(
 
 #: Base-class names marking a queue-policy implementation.
 _POLICY_BASES = frozenset(
-    {"QueuePolicy", "FifoPolicy", "EasyBackfillPolicy", "ConservativeBackfillPolicy"}
+    {
+        "QueuePolicy",
+        "FifoPolicy",
+        "EasyBackfillPolicy",
+        "ConservativeBackfillPolicy",
+        "PlanPolicy",
+    }
 )
 
 

@@ -15,7 +15,6 @@ BB nodes are discovered through each host's declared
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -78,48 +77,65 @@ def provision_allocation(
         raise ValueError("size must be positive")
     if granularity <= 0:
         raise ValueError("granularity must be positive")
+    bb_hosts = _pool_hosts(platform, bb_hosts)
+    granules = math.ceil(size / granularity)
+    per_host = _carve(
+        _granule_capacity(platform, bb_hosts, disk, granularity),
+        bb_hosts, granules,
+    )
+    return BBAllocation(
+        requested=float(size),
+        granted=float(granules * granularity),
+        granularity=float(granularity),
+        bb_hosts=tuple(per_host),
+    )
 
+
+def _pool_hosts(
+    platform: Platform, bb_hosts: Optional[Sequence[str]]
+) -> list[str]:
+    """The BB nodes to provision from: ``bb_hosts`` or the discovered ones."""
     if bb_hosts is None:
         bb_hosts = discover_bb_hosts(platform)
     if not bb_hosts:
         raise ValueError("platform has no BB nodes to provision from")
+    return list(bb_hosts)
 
-    granules = math.ceil(size / granularity)
-    granted = granules * granularity
 
-    # Per-node granule capacity.
-    per_node_capacity = {
+def _granule_capacity(
+    platform: Platform, bb_hosts: Sequence[str], disk: str, granularity: float
+) -> dict[str, int]:
+    """Whole granules each BB node's ``disk`` can hold."""
+    return {
         h: int(platform.host(h).disk(disk).capacity // granularity)
         for h in bb_hosts
     }
-    if granules > sum(per_node_capacity.values()):
-        raise InsufficientStorage(
-            f"allocation of {granted:.3e} B ({granules} granules) exceeds "
-            f"the BB pool capacity"
-        )
 
-    # Round-robin granules over nodes, respecting per-node limits.
-    assigned: dict[str, int] = {h: 0 for h in bb_hosts}
+
+def _carve(
+    free: dict[str, int], bb_hosts: Sequence[str], granules: int
+) -> dict[str, int]:
+    """Deal ``granules`` round-robin over ``bb_hosts``, at most ``free[h]``
+    each, so a small allocation touches few nodes and a large one stripes
+    wide (DataWarp's behaviour).  Returns the non-zero per-node counts in
+    ``bb_hosts`` order.
+    """
+    available = sum(free[h] for h in bb_hosts)
+    if granules > available:
+        raise InsufficientStorage(
+            f"allocation of {granules} granules exceeds the {available} "
+            f"free in the BB pool"
+        )
+    assigned = dict.fromkeys(bb_hosts, 0)
     remaining = granules
     while remaining > 0:
-        progressed = False
         for h in bb_hosts:
             if remaining == 0:
                 break
-            if assigned[h] < per_node_capacity[h]:
+            if assigned[h] < free[h]:
                 assigned[h] += 1
                 remaining -= 1
-                progressed = True
-        if not progressed:  # pragma: no cover - guarded by the sum check
-            raise InsufficientStorage("BB pool exhausted during assignment")
-
-    used_hosts = tuple(h for h in bb_hosts if assigned[h] > 0)
-    return BBAllocation(
-        requested=float(size),
-        granted=float(granted),
-        granularity=float(granularity),
-        bb_hosts=used_hosts,
-    )
+    return {h: n for h, n in assigned.items() if n > 0}
 
 
 @dataclass
@@ -135,7 +151,7 @@ class BBLease:
     allocation: BBAllocation
     per_host_granules: dict[str, int]
     released: bool = False
-    #: Key into the provisioner's running-grant table (backfill policies
+    #: Key into the pool's running-grant table (backfill policies
     #: project release times from it); ``None`` for hand-built objects.
     grant_id: Optional[int] = None
 
@@ -157,12 +173,15 @@ class BBProvisioner:
     :func:`provision_allocation` sizes a single allocation against an
     *empty* pool; real DataWarp jobs queue when the pool is exhausted
     and are granted as earlier allocations are torn down.  This class
-    models that lifecycle: :meth:`request` returns a DES event that
-    fires with a :class:`BBLease` once enough granules are free, in the
-    order the configured queue policy dictates — strict FIFO by default
-    (no backfilling, matching the core allocator's conservative
-    queueing), with backfill and plan policies available through the
-    :mod:`repro.wms.policies` registry.
+    models that lifecycle as a thin owner of a
+    :class:`~repro.wms.policies.PolicyPool` whose units are granules:
+    :meth:`request` returns a DES event that fires with a
+    :class:`BBLease` once enough granules are free, in the order the
+    configured queue policy dictates — strict FIFO by default (no
+    backfilling, matching the core allocator's conservative queueing),
+    with backfill and plan policies available through the
+    :mod:`repro.wms.policies` registry.  Granted granules are carved
+    round-robin over the BB nodes with free space.
 
     A request that cannot be granted immediately is a *decision site*
     for the profiler: it opens a ``BB_CAPACITY`` wait interval for the
@@ -179,36 +198,41 @@ class BBProvisioner:
     ) -> None:
         # Lazy: repro.wms.policies at module level would cycle through
         # repro.wms.__init__ -> engine -> storage imports.
-        from repro.wms.policies import resolve_policy
+        from repro.wms.policies import PolicyPool
 
         if granularity <= 0:
             raise ValueError("granularity must be positive")
         self.platform = platform
         self.env: Environment = platform.env
         self.granularity = float(granularity)
-        if bb_hosts is None:
-            bb_hosts = discover_bb_hosts(platform)
-        if not bb_hosts:
-            raise ValueError("platform has no BB nodes to provision from")
-        self.bb_hosts = list(bb_hosts)
-        self.policy = resolve_policy(policy)
-        self._free: dict[str, int] = {
-            h: int(platform.host(h).disk(disk).capacity // granularity)
-            for h in self.bb_hosts
-        }
+        self.bb_hosts = _pool_hosts(platform, bb_hosts)
+        #: Free granules per BB node; the pool keeps their sum.
+        self._free = _granule_capacity(
+            platform, self.bb_hosts, disk, granularity
+        )
         self.total_granules = sum(self._free.values())
-        self._queue: "deque" = deque()
-        #: grant_id -> RunningGrant, for backfill release projections.
-        self._running: dict[int, object] = {}
-        self._next_grant_id = 0
+        self.pool = PolicyPool(
+            self.env, self.total_granules, policy, self._grant_queued,
+            "granules", InsufficientStorage,
+        )
+
+    @property
+    def policy(self):
+        return self.pool.policy
 
     @property
     def free_granules(self) -> int:
-        return sum(self._free.values())
+        return self.pool.free
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        return len(self.pool.queue)
+
+    def granules_for(self, size: float) -> int:
+        """Granules backing an allocation of ``size`` bytes."""
+        if size <= 0:
+            raise ValueError("size must be positive")
+        return math.ceil(size / self.granularity)
 
     def request(
         self, size: float, job: str = "", estimate: Optional[float] = None
@@ -221,26 +245,8 @@ class BBProvisioner:
         requester in wait-cause telemetry only; ``estimate`` is a
         walltime hint for the backfill policies (ignored by ``fifo``).
         """
-        from repro.wms.policies import UNKNOWN, QueuedRequest
-
-        if size <= 0:
-            raise ValueError("size must be positive")
-        granules = math.ceil(size / self.granularity)
-        if granules > self.total_granules:
-            raise InsufficientStorage(
-                f"allocation of {granules} granules exceeds the BB pool "
-                f"({self.total_granules} granules)"
-            )
-        event = self.env.event()
-        self._queue.append(
-            QueuedRequest(
-                amount=granules,
-                event=event,
-                tag=job,
-                estimate=UNKNOWN if estimate is None else float(estimate),
-            )
-        )
-        self._grant()
+        granules = self.granules_for(size)
+        event = self.pool.enqueue(granules, job, estimate)
         if not event.triggered:
             # Decision site: the pool could not satisfy the request in
             # this instant, so the job queues behind running allocations.
@@ -248,8 +254,8 @@ class BBProvisioner:
             if obs is not None:
                 obs.on_task_blocked(job, WaitCause.BB_CAPACITY, detail="bb-pool")
                 obs.on_bb_lease(
-                    "queued", granules, self.free_granules,
-                    self.total_granules, job,
+                    "queued", granules, self.pool.free, self.total_granules,
+                    job,
                 )
         return event
 
@@ -265,86 +271,37 @@ class BBProvisioner:
         ledger exact.  Returns ``None`` when the claim cannot be
         granted in this instant.
         """
-        if size <= 0:
-            raise ValueError("size must be positive")
-        granules = math.ceil(size / self.granularity)
-        if self._queue or granules > self.free_granules:
+        granules = self.granules_for(size)
+        grant_id = self.pool.claim(granules, estimate)
+        if grant_id is None:
             return None
-        lease = self._carve(granules, job, estimate)
-        obs = self.env.obs
-        if obs is not None:
-            obs.on_bb_lease(
-                "granted", granules, self.free_granules,
-                self.total_granules, job,
-            )
-        return lease
+        return self._leased(granules, job, grant_id)
 
     def _release(self, lease: BBLease) -> None:
+        self.pool.release(
+            sum(lease.per_host_granules.values()), lease.grant_id
+        )
         for host, granules in lease.per_host_granules.items():
             self._free[host] += granules
-        if self.free_granules > self.total_granules:
-            # A real raise, not an assert: this ledger invariant (double
-            # release) must survive ``python -O``.
-            raise InsufficientStorage(
-                f"release leaves {self.free_granules} granules free in a "
-                f"{self.total_granules}-granule pool (double release?)"
-            )
-        if lease.grant_id is not None:
-            self._running.pop(lease.grant_id, None)
         obs = self.env.obs
         if obs is not None:
             obs.on_bb_lease(
-                "released", lease.allocation.granules, self.free_granules,
+                "released", lease.allocation.granules, self.pool.free,
                 self.total_granules, "",
             )
-        self._grant()
+        self.pool.dispatch()
 
-    def _grant(self) -> None:
-        """Grant whatever the queue policy selects in this instant."""
-        if not self._queue:
-            return
-        picks = self.policy.select(
-            self._queue, self.free_granules, self.env.now,
-            list(self._running.values()),
-        )
-        if not picks:
-            return
-        chosen = [self._queue[i] for i in picks]
-        for index in sorted(picks, reverse=True):
-            del self._queue[index]
-        for request in chosen:
-            obs = self.env.obs
-            if obs is not None:
-                obs.on_task_unblocked(request.tag, WaitCause.BB_CAPACITY)
-            request.event.succeed(
-                self._carve(request.amount, request.tag, request.estimate)
-            )
-            if obs is not None:
-                obs.on_bb_lease(
-                    "granted", request.amount, self.free_granules,
-                    self.total_granules, request.tag,
-                )
+    def _grant_queued(self, request, grant_id: int) -> BBLease:
+        """The pool's grant callback for a request that went through the
+        queue."""
+        obs = self.env.obs
+        if obs is not None:
+            obs.on_task_unblocked(request.tag, WaitCause.BB_CAPACITY)
+        return self._leased(request.amount, request.tag, grant_id)
 
-    def _carve(
-        self, granules: int, job: str, estimate: "Optional[float]" = None
-    ) -> BBLease:
-        """Assign ``granules`` round-robin over nodes with free space."""
-        from repro.wms.policies import UNKNOWN, RunningGrant
-
-        assigned: dict[str, int] = {h: 0 for h in self.bb_hosts}
-        remaining = granules
-        while remaining > 0:
-            progressed = False
-            for h in self.bb_hosts:
-                if remaining == 0:
-                    break
-                if self._free[h] - assigned[h] > 0:
-                    assigned[h] += 1
-                    remaining -= 1
-                    progressed = True
-            if not progressed:  # pragma: no cover - guarded by _grant
-                raise InsufficientStorage("BB pool exhausted during assignment")
-        per_host = {h: n for h, n in assigned.items() if n > 0}
+    def _leased(self, granules: int, job: str, grant_id: int) -> BBLease:
+        """Carve booked granules over the nodes and report the lease."""
+        per_host = _carve(self._free, self.bb_hosts, granules)
         for h, n in per_host.items():
             self._free[h] -= n
         granted = granules * self.granularity
@@ -352,16 +309,13 @@ class BBProvisioner:
             requested=granted,
             granted=granted,
             granularity=self.granularity,
-            bb_hosts=tuple(h for h in self.bb_hosts if h in per_host),
+            bb_hosts=tuple(per_host),
         )
-        estimate = (
-            UNKNOWN if estimate is None or estimate == UNKNOWN
-            else float(estimate)
-        )
-        grant_id = self._next_grant_id
-        self._next_grant_id += 1
-        deadline = self.env.now + estimate if estimate != UNKNOWN else UNKNOWN
-        self._running[grant_id] = RunningGrant(granules, deadline)
+        obs = self.env.obs
+        if obs is not None:
+            obs.on_bb_lease(
+                "granted", granules, self.pool.free, self.total_granules, job,
+            )
         return BBLease(self, allocation, per_host, grant_id=grant_id)
 
 

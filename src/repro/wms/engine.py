@@ -181,9 +181,9 @@ class WorkflowEngine:
 
         Spawns one process per task and returns an event that fires when
         every task has completed — composable with other simulated
-        activity (e.g. a batch-job body running an engine on its
-        allocated nodes).  Use :meth:`run` when the engine owns the
-        event loop.
+        activity (e.g. several engines on separate nodes sharing one
+        simulation).  Use :meth:`run` when the engine owns the event
+        loop.
         """
         if self._started:
             raise RuntimeError("engine instances are single-use")

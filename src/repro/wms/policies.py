@@ -33,6 +33,10 @@ Built-in policies:
     neither — lives in :class:`PlanCoordinator`, which the contended
     scenarios route requests through when this policy is selected.
 
+:class:`PolicyPool` is the one place a policy is applied: the queue,
+running-grant and release ledger that both allocators own an instance
+of, over cores and over BB granules.
+
 A policy's :meth:`QueuePolicy.select` is a *pure* function of the queue
 snapshot: it must not touch the environment or emit telemetry (lint
 rule SIM071).  Wait reporting stays at the allocator decision sites,
@@ -44,8 +48,9 @@ from __future__ import annotations
 
 import abc
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.des import Environment, Event
 from repro.obs.waits import WaitCause
@@ -371,6 +376,150 @@ register_policy("plan", PlanPolicy())
 
 
 # ----------------------------------------------------------------------
+# The policy-queued pool (the ledger behind both allocators)
+# ----------------------------------------------------------------------
+def walltime_estimate(estimate: Optional[float]) -> float:
+    """A requester's walltime hint as a policy sees it.
+
+    ``None`` means unknown (:data:`UNKNOWN`); anything else must be a
+    finite number of seconds >= 0 — a NaN or negative hint would book a
+    meaningless projected release time.
+    """
+    if estimate is None:
+        return UNKNOWN
+    value = float(estimate)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(
+            f"estimate must be None or a finite value >= 0, got {estimate!r}"
+        )
+    return value
+
+
+class PolicyPool:
+    """A pool of ``total`` interchangeable units granted by a queue policy.
+
+    The one queue/grant/release ledger behind
+    :class:`~repro.compute.allocator.CoreAllocator` (units: cores) and
+    :class:`~repro.storage.provisioning.BBProvisioner` (units: BB
+    granules).  The owner keeps what is its own — how units map onto
+    hardware, the payload a grant hands out, and the telemetry at its
+    decision sites — and supplies ``grant``: called once per request the
+    policy selects, *after* the units are booked, with the request and
+    its grant id; its return value is the payload the request's event
+    fires with.
+
+    ``error`` is the owner's typed error for impossible requests (more
+    units than the pool holds) and over-releases.
+    """
+
+    def __init__(
+        self,
+        env: Environment,
+        total: int,
+        policy: "str | QueuePolicy | None",
+        grant: Callable[[QueuedRequest, int], object],
+        unit: str,
+        error: type,
+    ) -> None:
+        self.env = env
+        self.total = total
+        self.free = total
+        self.policy = resolve_policy(policy)
+        self.unit = unit
+        self.error = error
+        self.queue: deque[QueuedRequest] = deque()
+        #: grant_id -> RunningGrant, for backfill release projections.
+        self.running: dict[int, RunningGrant] = {}
+        self._grant = grant
+        self._next_grant_id = 0
+
+    def check(self, amount: int) -> None:
+        """Reject an amount no grant could ever satisfy."""
+        if amount <= 0:
+            raise ValueError(f"{self.unit} must be positive")
+        if amount > self.total:
+            raise self.error(
+                f"requested {amount} {self.unit} but the pool holds "
+                f"{self.total}"
+            )
+
+    def enqueue(
+        self, amount: int, tag: str = "", estimate: Optional[float] = None
+    ) -> Event:
+        """Queue a request and grant what the policy selects now.
+
+        The returned event fires with the owner's payload; it is
+        already triggered when the request was granted in this instant.
+        """
+        self.check(amount)
+        event = self.env.event()
+        self.queue.append(
+            QueuedRequest(amount, event, tag, walltime_estimate(estimate))
+        )
+        self.dispatch()
+        return event
+
+    def claim(
+        self, amount: int, estimate: Optional[float] = None
+    ) -> Optional[int]:
+        """Book ``amount`` now and return its grant id, or ``None``.
+
+        Succeeds only when the units are free *and* nothing is queued:
+        a claim must never overtake the policy's queue.
+        """
+        if amount <= 0:
+            raise ValueError(f"{self.unit} must be positive")
+        estimate = walltime_estimate(estimate)
+        if self.queue or amount > self.free:
+            return None
+        return self._book(amount, estimate)
+
+    def release(self, amount: int, grant_id: Optional[int] = None) -> None:
+        """Return ``amount`` units; call :meth:`dispatch` afterwards.
+
+        Over-release (double release, foreign payload) raises the
+        owner's error — a real raise, not an assert, so the ledger
+        invariant survives ``python -O``.
+        """
+        self.free += amount
+        if self.free > self.total:
+            raise self.error(
+                f"release of {amount} {self.unit} leaves {self.free} free "
+                f"of {self.total} (double release?)"
+            )
+        if grant_id is not None:
+            self.running.pop(grant_id, None)
+
+    def dispatch(self) -> None:
+        """Grant whatever the queue policy selects in this instant."""
+        queue = self.queue
+        if not queue:
+            return
+        picks = self.policy.select(
+            queue, self.free, self.env.now, list(self.running.values())
+        )
+        if not picks:
+            return
+        chosen = [queue[i] for i in picks]
+        for index in sorted(picks, reverse=True):
+            del queue[index]
+        for request in chosen:
+            grant_id = self._book(request.amount, request.estimate)
+            request.event.succeed(self._grant(request, grant_id))
+
+    def _book(self, amount: int, estimate: float) -> int:
+        """Take ``amount`` units and record the running grant."""
+        self.free -= amount
+        grant_id = self._next_grant_id
+        self._next_grant_id += 1
+        deadline = (
+            self.env.now + estimate if estimate != UNKNOWN else UNKNOWN
+        )
+        self.running[grant_id] = RunningGrant(amount, deadline)
+        return grant_id
+
+
+# ----------------------------------------------------------------------
 # Joint cores + burst-buffer co-reservation (the "plan" policy proper)
 # ----------------------------------------------------------------------
 @dataclass
@@ -453,16 +602,20 @@ class PlanCoordinator:
 
         The returned event fires with a :class:`JointReservation` once
         the plan starts the job — both halves granted in the same
-        instant, or neither.
+        instant, or neither.  A request no plan could ever start — more
+        cores than the host has, more granules than the pool holds —
+        raises the allocators' typed errors at once.
         """
-        granules = math.ceil(size / self.provisioner.granularity)
+        granules = self.provisioner.granules_for(size)
+        self.compute.allocator(host).pool.check(cores)
+        self.provisioner.pool.check(granules)
         pending = _PlanRequest(
             host=host,
             cores=cores,
             granules=granules,
             size=size,
             job=job,
-            estimate=UNKNOWN if estimate is None else float(estimate),
+            estimate=walltime_estimate(estimate),
             event=self.env.event(),
         )
         self._pending.append(pending)

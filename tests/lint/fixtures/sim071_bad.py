@@ -1,7 +1,7 @@
 """Known-bad: queue-policy select() emits telemetry (SIM071)."""
 
 from repro.obs import WaitCause
-from repro.wms.policies import QueuePolicy
+from repro.wms.policies import PlanPolicy, QueuePolicy
 
 
 class ChattyPolicy(QueuePolicy):
@@ -30,3 +30,11 @@ class LoggingBackfill(QueuePolicy):
             self.obs.on_task_unblocked(queue[index].tag, WaitCause.CORES)  # expect[SIM071]
             self.obs.on_bb_lease("granted", job=queue[index].tag)  # expect[SIM071]
         return granted
+
+
+class TracedPlan(PlanPolicy):
+    name = "traced-plan"
+
+    def select(self, queue, free, now, running):
+        self.obs.log_event("wms", "plan", depth=len(queue))  # expect[SIM071]
+        return super().select(queue, free, now, running)

@@ -245,3 +245,50 @@ def test_diamond_dependencies_respected():
         r = trace.task_record(mid)
         assert ra.end <= r.start
         assert r.end <= rd.start
+
+
+def test_engines_share_one_simulation():
+    """Two engines started inside one running simulation, on separate
+    nodes over one shared BB node, both finish — and contend for it."""
+    from repro.workflow.swarp import make_swarp
+
+    def runtimes(concurrent):
+        env = des.Environment()
+        plat = Platform(env, cori_spec(n_compute=2, n_bb_nodes=1))
+        pfs = ParallelFileSystem(plat)
+        shared = SharedBurstBuffer(plat, ["bb0"], BBMode.STRIPED)
+        result = {}
+
+        def job(name, host):
+            engine = WorkflowEngine(
+                plat,
+                make_swarp(n_pipelines=1, cores_per_task=8,
+                           include_stage_in=False),
+                ComputeService(plat, [host]),
+                pfs,
+                bb_for_host=lambda h: shared,
+                placement=AllBB(),
+                host_assignment=lambda task: host,
+            )
+            start = env.now
+            # start() composes with the running simulation (run() would
+            # try to drive the event loop, which is already running).
+            yield engine.start()
+            result[name] = env.now - start
+
+        if concurrent:
+            env.process(job("a", "cn0"))
+            env.process(job("b", "cn1"))
+        else:
+            def back_to_back():
+                yield env.process(job("a", "cn0"))
+                yield env.process(job("b", "cn0"))
+
+            env.process(back_to_back())
+        env.run()
+        return result
+
+    exclusive = runtimes(concurrent=False)
+    shared = runtimes(concurrent=True)
+    assert exclusive["a"] == exclusive["b"] > 0
+    assert shared["a"] > exclusive["a"] and shared["b"] > exclusive["b"]
