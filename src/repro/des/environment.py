@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.des.core import (
     Event,
@@ -89,6 +89,25 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator)
+
+    def schedule_callback(
+        self,
+        fn: Callable[[Event], None],
+        delay: float = 0.0,
+        priority: EventPriority = EventPriority.NORMAL,
+    ) -> Event:
+        """Queue one event whose only callback is ``fn``, ``delay`` from now.
+
+        Plumbing that waits and then runs one statement needs no
+        :class:`Process`, whose start and exit cost two events besides
+        the one it waits for.
+        """
+        event = Event(self)
+        event._ok = True
+        event._value = None
+        event.callbacks.append(fn)
+        self.schedule(event, priority, delay)
+        return event
 
     def all_of(self, events: Iterable[Event]) -> Event:
         from repro.des.conditions import AllOf
@@ -181,15 +200,7 @@ class Environment:
                 def _halt(event: Event) -> None:
                     raise StopSimulation(None)
 
-                stop_event = Event(self)
-                stop_event._ok = True
-                stop_event._value = None
-                stop_event.callbacks.append(_halt)
-                self.schedule(
-                    stop_event,
-                    priority=EventPriority.URGENT,
-                    delay=at - self._now,
-                )
+                self.schedule_callback(_halt, at - self._now, EventPriority.URGENT)
 
         try:
             while self._queue:

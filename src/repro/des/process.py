@@ -17,19 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.des.environment import Environment
 
 
-class _Initialize(Event):
-    """Kernel-internal event that kicks off a freshly created process."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self._ok = True
-        self._value = None
-        self.callbacks.append(process._resume)
-        env.schedule(self, priority=EventPriority.URGENT)
-
-
 class Process(Event):
     """An executing generator.  Triggers when the generator finishes.
 
@@ -48,7 +35,8 @@ class Process(Event):
         #: not started or has finished).
         self._target: Optional[Event] = None
         self.name = getattr(generator, "__name__", str(generator))
-        _Initialize(env, self)
+        # The start event: runs the generator to its first yield.
+        env.schedule_callback(self._resume, priority=EventPriority.URGENT)
 
     @property
     def is_alive(self) -> bool:

@@ -143,12 +143,12 @@ class FlowNetwork:
         )
         if not flow.links and max_rate == float("inf"):
             # Loopback with no cap: completes after latency alone.
-            self.env.process(self._complete_after(flow, latency))
+            self.env.schedule_callback(lambda _e: self._finish(flow), latency)
             return done
 
         total_latency = latency + sum(link.latency for link in flow.links)
         if total_latency > 0:
-            self.env.process(self._admit_after(flow, total_latency))
+            self.env.schedule_callback(lambda _e: self._admit(flow), total_latency)
         else:
             self._admit(flow)
         return done
@@ -171,14 +171,6 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _complete_after(self, flow: Flow, delay: float):
-        yield self.env.timeout(delay)
-        self._finish(flow)
-
-    def _admit_after(self, flow: Flow, delay: float):
-        yield self.env.timeout(delay)
-        self._admit(flow)
-
     def _admit(self, flow: Flow) -> None:
         self._advance_progress()
         flow.started_at = min(flow.started_at, self.env.now)
@@ -223,12 +215,10 @@ class FlowNetwork:
         if finish is None:
             return
         generation = self._generation
-        wake = Event(self.env)
-        wake._ok = True
-        wake._value = None
-        wake.callbacks.append(lambda _e: self._on_wake(generation))
-        self.env.schedule(
-            wake, priority=EventPriority.HIGH, delay=max(0.0, finish - self.env.now)
+        self.env.schedule_callback(
+            lambda _e: self._on_wake(generation),
+            max(0.0, finish - self.env.now),
+            EventPriority.HIGH,
         )
 
     def _remove_flow(self, flow: Flow) -> None:
@@ -302,11 +292,7 @@ class FlowNetwork:
         if self._flush_pending:
             return
         self._flush_pending = True
-        flush = Event(self.env)
-        flush._ok = True
-        flush._value = None
-        flush.callbacks.append(self._flush)
-        self.env.schedule(flush, priority=EventPriority.DEFERRED, delay=0.0)
+        self.env.schedule_callback(self._flush, 0.0, EventPriority.DEFERRED)
 
     def _flush(self, _event: Event) -> None:
         self._flush_pending = False
@@ -335,7 +321,9 @@ class FlowNetwork:
                 stats.links_touched - links,
                 solver_calls=stats.solver_calls - calls,
             )
-            obs.on_rates_assigned(list(flows.values()))
+            # Only the re-solved components: every other link keeps the
+            # rates and user counts it had at its last check.
+            obs.on_rates_assigned([flows[fid] for fid in changed])
 
 
 def _capacity_fn(links_by_name: dict[str, Link]):

@@ -94,7 +94,9 @@ class InvariantMonitor:
         self, service: str, used: float, capacity: float
     ) -> None: ...
 
-    def on_rates_assigned(self, flows) -> None: ...
+    def on_rates_assigned(self, flows) -> None:
+        """Rates of every flow of each re-solved component (not of the
+        whole network; other links keep their last-checked rates)."""
 
     def on_event_processed(self, when: Optional[float]) -> None: ...
 

@@ -284,9 +284,12 @@ class Observer:
         self.registry.counter("network.flows_solved").inc(flows_solved)
 
     def on_rates_assigned(self, flows: "Iterable[Flow]") -> None:
-        """The allocator settled rates for the active flow set.
+        """The allocator settled rates for the re-solved components.
 
-        Pure monitor feed: the metric story is already told by
+        ``flows`` holds every flow of each connected component whose
+        rates were just recomputed, and no others: links outside those
+        components keep the rates and user counts they had when they
+        were last passed here.  Pure monitor feed: the metric story is already told by
         :meth:`on_rate_solve`; this hook exists so capacity monitors see
         the *assigned* rates, not just solver call counts.
         """

@@ -180,6 +180,8 @@ class StorageService(abc.ABC):
 
         Capacity is reserved immediately; the returned event fires when
         the last byte lands, at which point the file becomes readable.
+        Only the event's completion or failure is part of the contract;
+        its value is unspecified.
         """
         if not self.contains(file):
             self._store(file)
@@ -188,7 +190,11 @@ class StorageService(abc.ABC):
         return self._gated(lambda: self._write_flow(file, src_host))
 
     def read(self, file: File, dest_host: str) -> Event:
-        """Read ``file`` from this service into ``dest_host``'s RAM."""
+        """Read ``file`` from this service into ``dest_host``'s RAM.
+
+        The returned event fires when the last byte arrives; only its
+        completion or failure is part of the contract, not its value.
+        """
         if not self.contains(file):
             raise FileNotOnService(f"{self.name}: no file {file.name!r}")
         self._notify_op("read", file.size)

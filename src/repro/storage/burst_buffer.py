@@ -157,37 +157,19 @@ class SharedBurstBuffer(StorageService):
         n = len(self.bb_hosts)
         chunk = file.size / n
         op_latency = self.latencies.write if write else self.latencies.read
-        done = self.env.event()
-
-        def run():
-            transfers = []
-            for bb in self.bb_hosts:
-                if write:
-                    ev = self.platform.write_to_disk(
-                        chunk,
-                        bb,
-                        self.disk,
-                        src_host=host,
-                        extra_latency=op_latency + self.per_stripe_latency,
-                        max_rate=self.max_stream_rate,
-                        label=f"{self.name}:stripe:{file.name}@{bb}",
-                    )
-                else:
-                    ev = self.platform.read_from_disk(
-                        chunk,
-                        bb,
-                        self.disk,
-                        dest_host=host,
-                        extra_latency=op_latency + self.per_stripe_latency,
-                        max_rate=self.max_stream_rate,
-                        label=f"{self.name}:stripe:{file.name}@{bb}",
-                    )
-                transfers.append(ev)
-            yield self.env.all_of(transfers)
-            done.succeed(file)
-
-        self.env.process(run())
-        return done
+        move = self.platform.write_to_disk if write else self.platform.read_from_disk
+        return self.env.all_of(
+            move(
+                chunk,
+                bb,
+                self.disk,
+                host,
+                extra_latency=op_latency + self.per_stripe_latency,
+                max_rate=self.max_stream_rate,
+                label=f"{self.name}:stripe:{file.name}@{bb}",
+            )
+            for bb in self.bb_hosts
+        )
 
 
 class OnNodeBurstBuffer(StorageService):

@@ -44,6 +44,8 @@ def stage_file(
     between the two services' hosts, and the target's write channel.
     On completion the file is registered on the target (and in the
     registry, if given).  Capacity on the target is reserved up front.
+    Only the returned event's completion or failure is part of the
+    contract; its value is unspecified.
     """
     if not source.contains(file):
         raise FileNotOnService(f"{source.name}: no file {file.name!r}")
@@ -78,13 +80,11 @@ def stage_file(
         label=f"stage:{file.name}:{source.name}->{target.name}",
     )
     if registry is not None:
-        done = source.env.event()
+        # Appended before any waiter's callback: the copy is registered
+        # by the time whoever yields the transfer resumes.
+        def register(event: Event) -> None:
+            if event.ok:
+                registry.register(file, target)
 
-        def finish():
-            yield transfer
-            registry.register(file, target)
-            done.succeed(file)
-
-        source.env.process(finish())
-        return done
+        transfer.callbacks.append(register)
     return transfer

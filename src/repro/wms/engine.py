@@ -368,9 +368,7 @@ class WorkflowEngine:
             for f in task.inputs:
                 service = self.registry.lookup(f, prefer=prefer, reader_host=host)
                 reads.append(
-                    self.env.process(
-                        self._timed_io(task, f, service, "read", service.read(f, host))
-                    )
+                    self._timed_io(task, f, service, "read", service.read(f, host))
                 )
             if reads:
                 yield self.env.all_of(reads)
@@ -389,11 +387,7 @@ class WorkflowEngine:
             for f in task.outputs:
                 service = self._output_target(f, host)
                 writes.append(
-                    self.env.process(
-                        self._timed_io(
-                            task, f, service, "write", service.write(f, host)
-                        )
-                    )
+                    self._timed_io(task, f, service, "write", service.write(f, host))
                 )
                 self.registry.register(f, service)
             if writes:
@@ -408,21 +402,27 @@ class WorkflowEngine:
         if self.config.evict_consumed_intermediates:
             self._evict_after(task)
 
-    def _timed_io(self, task: Task, f: File, service: StorageService, kind: str, transfer: Event):
-        """Await one transfer, logging it as a per-file I/O operation."""
+    def _timed_io(self, task: Task, f: File, service: StorageService, kind: str, transfer: Event) -> Event:
+        """Log ``transfer`` as a per-file I/O operation when it lands
+        (a failed one logs nothing); return ``transfer``."""
         start = self.env.now
-        yield transfer
-        self.trace.log_io(
-            IOOperation(
-                task=task.name,
-                file=f.name,
-                service=service.name,
-                kind=kind,
-                size=f.size,
-                start=start,
-                end=self.env.now,
-            )
-        )
+
+        def log(event: Event) -> None:
+            if event.ok:
+                self.trace.log_io(
+                    IOOperation(
+                        task=task.name,
+                        file=f.name,
+                        service=service.name,
+                        kind=kind,
+                        size=f.size,
+                        start=start,
+                        end=self.env.now,
+                    )
+                )
+
+        transfer.callbacks.append(log)
+        return transfer
 
     def _output_target(self, f: File, host: str) -> StorageService:
         """Resolve the service an output file should be written to.

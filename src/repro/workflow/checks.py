@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from repro.workflow.model import TaskCategory, Workflow
 
 
@@ -60,6 +58,8 @@ def lint_workflow(
 
     # Disconnected components (beyond one) often mean a typo'd file name.
     if len(workflow) > 1:
+        import networkx as nx
+
         components = nx.number_weakly_connected_components(workflow.graph)
         if components > 1:
             findings.append(

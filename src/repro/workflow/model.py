@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,10 @@ class Workflow:
     * every file name maps to a single size;
     * each file has at most one producer;
     * the induced graph is acyclic.
+
+    The DAG is kept as plain parent and child adjacency dicts, in file
+    and task declaration order; :attr:`graph` builds a networkx view of
+    it on first use, so simulating a workflow never imports networkx.
     """
 
     def __init__(self, name: str, tasks: Iterable[Task]) -> None:
@@ -152,17 +156,16 @@ class Workflow:
             for f in task.inputs:
                 self._consumers.setdefault(f.name, []).append(task.name)
 
-        # Dependency graph.
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(self.tasks)
+        # Dependency graph: ordered adjacency (dict keys as ordered sets).
+        self._parents: dict[str, dict[str, None]] = {n: {} for n in self.tasks}
+        self._children: dict[str, dict[str, None]] = {n: {} for n in self.tasks}
         for task in self.tasks.values():
             for f in task.inputs:
                 producer = self._producer.get(f.name)
                 if producer is not None and producer != task.name:
-                    self.graph.add_edge(producer, task.name)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            cycle = nx.find_cycle(self.graph)
-            raise ValueError(f"workflow contains a cycle: {cycle}")
+                    self._parents[task.name][producer] = None
+                    self._children[producer][task.name] = None
+        self._generations = self._topological_generations()
 
     # ------------------------------------------------------------------
     # Queries
@@ -188,34 +191,88 @@ class Workflow:
         return [self.tasks[n] for n in self._consumers.get(file_name, [])]
 
     def parents(self, task_name: str) -> list[Task]:
-        return [self.tasks[n] for n in self.graph.predecessors(task_name)]
+        return [self.tasks[n] for n in self._parents[task_name]]
 
     def children(self, task_name: str) -> list[Task]:
-        return [self.tasks[n] for n in self.graph.successors(task_name)]
+        return [self.tasks[n] for n in self._children[task_name]]
 
     def topological_order(self) -> list[Task]:
-        """Tasks in a valid execution order (deterministic)."""
-        return [
-            self.tasks[n]
-            for n in nx.lexicographical_topological_sort(self.graph)
-        ]
+        """Tasks in a valid execution order (deterministic).
+
+        Kahn's algorithm that always takes the ready task with the
+        smallest name (networkx's ``lexicographical_topological_sort``).
+        """
+        remaining = {n: len(p) for n, p in self._parents.items()}
+        ready = [n for n, d in remaining.items() if d == 0]
+        heapq.heapify(ready)
+        order: list[Task] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(self.tasks[name])
+            for child in self._children[name]:
+                remaining[child] -= 1
+                if remaining[child] == 0:
+                    heapq.heappush(ready, child)
+        return order
 
     def entry_tasks(self) -> list[Task]:
-        return [t for t in self.tasks.values() if self.graph.in_degree(t.name) == 0]
+        return [t for t in self.tasks.values() if not self._parents[t.name]]
 
     def exit_tasks(self) -> list[Task]:
-        return [t for t in self.tasks.values() if self.graph.out_degree(t.name) == 0]
+        return [t for t in self.tasks.values() if not self._children[t.name]]
 
     def levels(self) -> list[list[Task]]:
         """Tasks grouped by DAG depth (entry tasks = level 0)."""
-        depth: dict[str, int] = {}
-        for name in nx.topological_sort(self.graph):
-            preds = list(self.graph.predecessors(name))
-            depth[name] = 1 + max((depth[p] for p in preds), default=-1)
-        out: list[list[Task]] = [[] for _ in range(max(depth.values(), default=-1) + 1)]
-        for name, d in depth.items():
-            out[d].append(self.tasks[name])
-        return out
+        return [[self.tasks[n] for n in level] for level in self._generations]
+
+    def _topological_generations(self) -> list[list[str]]:
+        """Kahn's algorithm one generation at a time, in task and edge
+        declaration order (networkx's ``topological_generations``).
+
+        A task's generation is its depth: one more than its deepest
+        parent's.  Raises :class:`ValueError` naming a cycle if the
+        graph has one.
+        """
+        remaining = {n: len(p) for n, p in self._parents.items() if p}
+        level = [n for n, p in self._parents.items() if not p]
+        generations: list[list[str]] = []
+        while level:
+            generations.append(level)
+            level = []
+            for name in generations[-1]:
+                for child in self._children[name]:
+                    remaining[child] -= 1
+                    if remaining[child] == 0:
+                        level.append(child)
+                        del remaining[child]
+        if remaining:
+            raise ValueError(f"workflow contains a cycle: {self._cycle(remaining)}")
+        return generations
+
+    def _cycle(self, unresolved: dict[str, int]) -> list[tuple[str, str]]:
+        """The edges of one cycle among tasks Kahn's algorithm could not
+        order (each of them has an unordered parent)."""
+        name = next(iter(unresolved))
+        path: list[str] = []
+        seen: dict[str, int] = {}
+        while name not in seen:
+            seen[name] = len(path)
+            path.append(name)
+            name = next(p for p in self._parents[name] if p in unresolved)
+        loop = path[seen[name]:][::-1]
+        return [(u, loop[(i + 1) % len(loop)]) for i, u in enumerate(loop)]
+
+    @cached_property
+    def graph(self):
+        """The dependency DAG as a ``networkx.DiGraph`` (built on first
+        use, with the node and edge order of the adjacency dicts)."""
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self.tasks)
+        for name, parents in self._parents.items():
+            graph.add_edges_from((p, name) for p in parents)
+        return graph
 
     # ------------------------------------------------------------------
     # File classification
@@ -280,11 +337,11 @@ class Workflow:
     def critical_path_flops(self) -> float:
         """Largest cumulative flops along any dependency chain."""
         best: dict[str, float] = {}
-        for name in nx.topological_sort(self.graph):
-            preds = list(self.graph.predecessors(name))
-            best[name] = self.tasks[name].flops + max(
-                (best[p] for p in preds), default=0.0
-            )
+        for level in self._generations:
+            for name in level:
+                best[name] = self.tasks[name].flops + max(
+                    (best[p] for p in self._parents[name]), default=0.0
+                )
         return max(best.values(), default=0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -211,3 +211,56 @@ def test_clock_is_monotonic_across_many_events():
         env.process(proc(env, d))
     env.run()
     assert times == sorted(times)
+
+
+# ----------------------------------------------------------------------
+# schedule_callback
+# ----------------------------------------------------------------------
+def test_schedule_callback_runs_once_at_its_time():
+    env = des.Environment()
+    seen = []
+    event = env.schedule_callback(lambda e: seen.append((env.now, e.value)), 2.5)
+    assert event.triggered and not event.processed
+    env.run()
+    assert seen == [(2.5, None)]
+    assert event.processed and env.now == 2.5
+
+
+def test_schedule_callback_ties_with_timeout_in_creation_order():
+    """At equal time and priority, a callback and a Timeout run in the
+    order they were scheduled, whichever kind comes first."""
+    env = des.Environment()
+    order = []
+    env.timeout(1.0).callbacks.append(lambda e: order.append("timeout-a"))
+    env.schedule_callback(lambda e: order.append("callback-b"), 1.0)
+    env.timeout(1.0).callbacks.append(lambda e: order.append("timeout-c"))
+    env.schedule_callback(lambda e: order.append("callback-d"), 1.0)
+    env.run()
+    assert order == ["timeout-a", "callback-b", "timeout-c", "callback-d"]
+
+
+def test_schedule_callback_priority_orders_within_a_timestamp():
+    env = des.Environment()
+    order = []
+    env.schedule_callback(lambda e: order.append("deferred"), 1.0, des.EventPriority.DEFERRED)
+    env.timeout(1.0).callbacks.append(lambda e: order.append("timeout"))
+    env.schedule_callback(lambda e: order.append("high"), 1.0, des.EventPriority.HIGH)
+    env.run()
+    assert order == ["high", "timeout", "deferred"]
+
+
+def test_schedule_callback_rejects_negative_delay():
+    env = des.Environment()
+    with pytest.raises(ValueError):
+        env.schedule_callback(lambda e: None, -1.0)
+
+
+def test_schedule_callback_error_propagates_from_run():
+    env = des.Environment()
+
+    def boom(_event):
+        raise RuntimeError("plumbing bug")
+
+    env.schedule_callback(boom, 1.0)
+    with pytest.raises(RuntimeError, match="plumbing bug"):
+        env.run()

@@ -151,3 +151,111 @@ def test_workflow_consuming_nonexistent_file_fails_loudly():
         trace_error = exc
     assert trace_error is not None
     assert "never-produced" in str(trace_error)
+
+
+# ----------------------------------------------------------------------
+# Failing transfers reach whoever waits on them
+# ----------------------------------------------------------------------
+class TransferLost(Exception):
+    """Stands in for any failure of a flow's completion event."""
+
+
+def _failing_transfer(env, exc, delay=0.5):
+    """A transfer event that fails ``delay`` seconds from now."""
+    event = env.event()
+    env.schedule_callback(lambda _e: event.fail(exc), delay)
+    return event
+
+
+def _catch(env, event):
+    """Wait on ``event`` from a process; return the exceptions caught."""
+    caught = []
+
+    def waiter():
+        try:
+            yield event
+        except TransferLost as exc:
+            caught.append(exc)
+
+    env.process(waiter())
+    # An un-defused failure anywhere would re-raise out of run().
+    env.run()
+    return caught
+
+
+def test_staging_failure_reaches_the_waiter_and_registers_nothing():
+    from repro.storage import FileRegistry, stage_file
+
+    env = des.Environment()
+    plat = Platform(env, cori_spec(n_compute=1, n_bb_nodes=1))
+    pfs = ParallelFileSystem(plat)
+    bb = SharedBurstBuffer(plat, ["bb0"], BBMode.PRIVATE, owner_host="cn0")
+    f = File("in", 10 * MB)
+    pfs.add_file(f)
+    registry = FileRegistry()
+    lost = TransferLost("stage")
+    plat.transfer_between_disks = lambda *a, **k: _failing_transfer(env, lost)
+
+    caught = _catch(env, stage_file(f, pfs, bb, registry=registry))
+
+    assert len(caught) == 1 and caught[0] is lost
+    assert not registry.has(f)
+
+
+@pytest.mark.parametrize("write", [True, False], ids=["write", "read"])
+def test_striped_chunk_failure_fails_the_operation(write):
+    """One lost chunk fails the striped operation with that exception;
+    the other chunk still lands, and nothing is left un-defused."""
+    env = des.Environment()
+    plat = Platform(env, cori_spec(n_compute=1, n_bb_nodes=2))
+    bb = SharedBurstBuffer(plat, ["bb0", "bb1"], BBMode.STRIPED)
+    f = File("striped", 20 * MB)
+    lost = TransferLost("chunk")
+    name = "write_to_disk" if write else "read_from_disk"
+    real = getattr(plat, name)
+    landed = []
+
+    def move(size, disk_host, *args, **kwargs):
+        if disk_host == "bb1":
+            return _failing_transfer(env, lost)
+        event = real(size, disk_host, *args, **kwargs)
+        event.callbacks.append(lambda e: landed.append(disk_host))
+        return event
+
+    setattr(plat, name, move)
+    if write:
+        operation = bb.write(f, "cn0")
+    else:
+        bb.add_file(f)
+        operation = bb.read(f, "cn0")
+
+    caught = _catch(env, operation)
+
+    assert len(caught) == 1 and caught[0] is lost
+    assert landed == ["bb0"]
+
+
+def test_read_failure_fails_the_task_and_logs_no_io():
+    """A lost input read fails the reading task with the original
+    exception; only the read that landed is logged."""
+    good, bad = File("good", 10 * MB), File("bad", 10 * MB)
+    task = Task("t", flops=SPEED, inputs=(good, bad), cores=1)
+    env = des.Environment()
+    plat = Platform(env, cori_spec(n_compute=1, n_bb_nodes=1))
+    pfs = ParallelFileSystem(plat)
+    engine = WorkflowEngine(
+        plat, Workflow("w", [task]), ComputeService(plat, ["cn0"]), pfs,
+        host_assignment=lambda t: "cn0",
+    )
+    lost = TransferLost("read")
+    real = pfs._read_flow
+    pfs._read_flow = lambda file, host: (
+        _failing_transfer(env, lost) if file is bad else real(file, host)
+    )
+
+    with pytest.raises(TransferLost) as info:
+        engine.run()
+    assert info.value is lost
+    env.run()  # drains the rest: no second, un-defused failure
+    assert [op.file for op in engine.trace.io_operations] == ["good"]
+    assert "t" not in engine.trace.records
